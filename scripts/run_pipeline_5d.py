@@ -4,7 +4,7 @@ dozen representative extreme points.
 
 Generates the cloud, sketches it with 70k directions, compresses the kept
 vertices by radius clustering, and reports the inner error against an
-oracle-verified 10k subsample.  Takes a couple of minutes.
+oracle-verified 10k subsample.  Took 43 s on a 2-CPU Intel Xeon VM.
 """
 import argparse
 import json

@@ -220,15 +220,6 @@ def _read_inner_csv(path: str, dim: int) -> np.ndarray:
     )
 
 
-def _blocked_supports(points: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-    """Exact support values of a cloud for many directions, memory-blocked."""
-    out = np.empty(dirs.shape[0])
-    block = max(1, (1 << 26) // (8 * max(1, points.shape[0])))
-    for j0 in range(0, dirs.shape[0], block):
-        out[j0 : j0 + block] = (points @ dirs[j0 : j0 + block].T).max(axis=0)
-    return out
-
-
 def _reference_extremes(
     cloud: PointCloud, seed: int, oracle_cap: int, ref_dirs: int
 ) -> tuple[VertexPolytope, str]:
@@ -289,6 +280,10 @@ def cmd_sketch(cfg: SketchConfig) -> dict:
             "n_found": n_found,
             "n_kept": len(inner),
             "runtime_ms": runtime_ms,
+            "counters": {
+                "scores_formed": sketch.scores_formed,
+                "score_pairs": len(cloud) * len(dirs),
+            },
         }
     )
     if len(inner) == 0:
@@ -303,13 +298,22 @@ def cmd_sketch(cfg: SketchConfig) -> dict:
 def _sketch_from_json(path: str, cloud: PointCloud) -> CurvatureSketch:
     with open(path) as fh:
         payload = json.load(fh)
+    keys = ("dim", "n_points", "n_dirs", "counts", "assignment", "dirs_seed", "dirs_method")
+    missing = [k for k in keys if not isinstance(payload, dict) or k not in payload]
+    if missing:
+        raise CliValidationError(f"{path}: sketch lacks {', '.join(missing)}")
     if payload["n_points"] != len(cloud) or payload["dim"] != cloud.dim:
         raise CliValidationError(f"{path}: sketch does not match the point file")
     dirs = sample_uniform(payload["n_dirs"], payload["dim"], payload["dirs_seed"])
+    if payload["dirs_method"] != dirs.method:
+        raise CliValidationError(f"{path}: dirs_method is not {dirs.method!r}")
+    assignment = np.asarray(payload["assignment"], dtype=np.int64)
+    if np.any((assignment < 0) | (assignment >= len(cloud))):
+        raise CliValidationError(f"{path}: assignment indexes outside [0, {len(cloud)})")
     return CurvatureSketch(
         cloud=cloud,
         dirs=dirs,
-        assignment=np.asarray(payload["assignment"], dtype=np.int64),
+        assignment=assignment,
         counts=np.asarray(payload["counts"], dtype=np.int64),
     )
 
@@ -441,8 +445,7 @@ def cmd_error(cfg: ErrorConfig) -> dict:
 
     n_found = None
     if cfg.sketch_json is not None:
-        with open(cfg.sketch_json) as fh:
-            n_found = int(np.count_nonzero(np.asarray(json.load(fh)["counts"])))
+        n_found = int(np.count_nonzero(_sketch_from_json(cfg.sketch_json, cloud).counts))
 
     report = ErrorReport(
         inner_error=inner_val,
@@ -542,7 +545,7 @@ def bench_rows(cfg: BenchConfig) -> list[dict]:
         if cfg.probes < 1:
             raise CliValidationError("bench needs probes >= 1 in dimension >= 3")
         probes = sample_uniform(cfg.probes, cloud.dim, cfg.seed + PROBE_SEED_OFFSET)
-        true_supports = _blocked_supports(cloud.points, probes.directions)
+        true_supports = outer_hull(build_sketch(cloud, probes), cloud, probes).offsets
 
     rows = []
     for m in cfg.schedule:

@@ -310,17 +310,18 @@ def hausdorff(p: VertexPolytope, q: VertexPolytope, tol: float = DEFAULT_TOL) ->
 def exact_extreme_points(cloud: PointCloud, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Indices of the points of ``cloud`` that are extreme in its hull.
 
-    Brute-force oracle: point ``i`` is extreme iff its distance to the hull
-    of all other points exceeds ``tol``.  Intended for desk-scale clouds
-    (roughly N <= 10^4); cost is one projection per point.
+    Brute-force oracle: a distinct row is extreme iff its distance to the
+    hull of all other distinct rows exceeds ``tol``; a repeated row is
+    reported once, by its smallest index (the sketch's tie-break).  Intended
+    for desk-scale clouds (roughly N <= 10^4); cost is one projection per
+    distinct row.
     """
-    n = len(cloud)
-    if n == 1:
-        return np.array([0], dtype=np.int64)
-    pts = cloud.points
+    rows, first = np.unique(cloud.points, axis=0, return_index=True)
+    if len(rows) == 1:
+        return first.astype(np.int64)
     out = []
-    for i in range(n):
-        others = VertexPolytope(np.delete(pts, i, axis=0))
-        if project_onto_hull(pts[i], others, tol=tol).distance > tol:
-            out.append(i)
-    return np.array(out, dtype=np.int64)
+    for i in range(len(rows)):
+        others = VertexPolytope(np.delete(rows, i, axis=0))
+        if project_onto_hull(rows[i], others, tol=tol).distance > tol:
+            out.append(first[i])
+    return np.sort(np.array(out, dtype=np.int64))

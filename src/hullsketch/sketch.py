@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .directions import DirectionSet
-from .geometry import Halfspace, PointCloud
+from .geometry import PointCloud
 
 __all__ = [
     "CurvatureSketch",
@@ -25,12 +25,10 @@ __all__ = [
     "outer_hull",
 ]
 
-# Working-set budget for the blocked support computation (bytes).
-_BLOCK_BYTES = 1 << 27
-# Above this point count the norm-pruned scan kicks in.
-_PRUNE_THRESHOLD = 65536
-_PRUNE_BLOCK = 16384
-_PRUNE_CHUNK = 512
+# Points per spatial block and directions per chunk of the support kernel:
+# one score block is at most 256 x 2048 doubles (4 MB).
+_BLOCK_POINTS = 2048
+_CHUNK_DIRS = 256
 
 
 @dataclass(frozen=True)
@@ -41,6 +39,7 @@ class CurvatureSketch:
     dirs: DirectionSet
     assignment: np.ndarray  # winner index per direction, length M
     counts: np.ndarray  # wins per point, length N
+    scores_formed: int | None = None  # scores computed, set by build_sketch
 
     def __post_init__(self):
         assignment = np.asarray(self.assignment, dtype=np.int64).copy()
@@ -139,13 +138,6 @@ class OuterHull:
     def __len__(self) -> int:
         return self.normals.shape[0]
 
-    @property
-    def halfspaces(self) -> list[Halfspace]:
-        return [
-            Halfspace(n, b, int(s) if s >= 0 else None)
-            for n, b, s in zip(self.normals, self.offsets, self.support_indices)
-        ]
-
     def contains(self, points, tol: float = 1e-9) -> np.ndarray:
         """Boolean feasibility of each row of ``points`` against all constraints."""
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
@@ -153,82 +145,93 @@ class OuterHull:
         return np.all(margins <= tol, axis=1)
 
 
-def _assign_blocked(pts: np.ndarray, dmat: np.ndarray) -> np.ndarray:
-    """Direct blocked argmax; first occurrence of the max = smallest index."""
-    m = dmat.shape[0]
-    assignment = np.empty(m, dtype=np.int64)
-    block = max(1, _BLOCK_BYTES // (8 * max(1, pts.shape[0])))
-    for j0 in range(0, m, block):
-        scores = pts @ dmat[j0 : j0 + block].T
-        assignment[j0 : j0 + scores.shape[1]] = np.argmax(scores, axis=0)
-    return assignment
+def _morton_order(pts: np.ndarray) -> np.ndarray:
+    """Point order along a Z-order curve of the quantised coordinates.
 
-
-def _assign_pruned(pts: np.ndarray, dmat: np.ndarray) -> np.ndarray:
-    """Argmax with an exact norm bound: ``x . d <= ||x - c|| + c . d``.
-
-    Points are scanned in blocks of decreasing distance from the centroid; a
-    block is skipped for a direction once the bound proves it cannot beat
-    the current winner, so only a small fraction of the score matrix is ever
-    formed.  Skipping is strictly sound (a safety margin absorbs dot-product
-    rounding), hence winners agree with the direct scan; only the order in
-    which *exactly* tied scores are met can differ.
+    The int64 key interleaves ``62 // dim`` bits of every axis, or one bit of
+    each of the 62 widest axes in higher dimensions.
     """
-    centroid = pts.mean(axis=0)
-    norms = np.linalg.norm(pts - centroid, axis=1)
-    order = np.argsort(-norms, kind="stable")
-    sorted_pts = pts[order]
-    sorted_norms = norms[order]
-    n, m = pts.shape[0], dmat.shape[0]
-    n_blocks = (n + _PRUNE_BLOCK - 1) // _PRUNE_BLOCK
-    block_bound = sorted_norms[np.arange(n_blocks) * _PRUNE_BLOCK]
-    margin = 1e-9 * (block_bound[0] + float(np.abs(centroid).sum()) + 1.0)
+    bits = max(1, 62 // pts.shape[1])
+    lo = np.array([col.min() for col in pts.T])  # per column: far faster than axis=0
+    extent = np.array([col.max() for col in pts.T]) - lo
+    axes = np.argsort(-extent, kind="stable")[: 62 // bits]
+    top, width, byte = (1 << bits) - 1, len(axes), np.arange(256)
+    key = np.zeros(pts.shape[0], dtype=np.int64)
+    for pos, a in enumerate(axes):
+        q = (pts[:, a] - lo[a]) * (top / extent[a] if extent[a] > 0 else 0.0)
+        q = np.clip(q.astype(np.int64), 0, top)
+        for c in range(0, bits, 8):  # bit b of this byte goes to key bit (c + b) * width + pos
+            spread = sum(((byte >> b) & 1) << ((c + b) * width + pos)
+                         for b in range(min(8, bits - c)))
+            key |= spread.take((q >> c) & 255)
+    return np.argsort(key)
 
-    assignment = np.empty(m, dtype=np.int64)
-    for j0 in range(0, m, _PRUNE_CHUNK):
-        chunk = dmat[j0 : j0 + _PRUNE_CHUNK]
-        k = chunk.shape[0]
-        shift = centroid @ chunk.T
-        best = np.full(k, -np.inf)
-        winner = np.zeros(k, dtype=np.int64)
-        alive = np.arange(k)
-        for b in range(n_blocks):
-            keep = block_bound[b] + shift[alive] >= best[alive] - margin
-            alive = alive[keep]
-            if alive.size == 0:
+
+def _support_winners(pts: np.ndarray, dmat: np.ndarray) -> tuple[np.ndarray, int]:
+    """Exact ``argmax(pts @ dmat.T, axis=0)``, ties to the smallest index, and
+    the number of score entries formed.
+
+    Z-ordered blocks of points (index order inside each) keep their bounding
+    box, whose support ``sum_i max(d_i lo_i, d_i hi_i)`` bounds every score in
+    the block.  Each direction of a chunk first scores its highest-bound
+    block; blocks are then visited in decreasing bound order, skipping a
+    (direction, block) pair whose bound is below the best score by more than
+    the margin.
+    """
+    n, dim = pts.shape
+    order, starts = _morton_order(pts), np.arange(0, n, _BLOCK_POINTS)
+    for s0 in starts:
+        order[s0 : s0 + _BLOCK_POINTS].sort()
+    block_pts = np.take(pts, order, axis=0)  # several times faster than pts[order]
+    lo, hi = np.minimum.reduceat(block_pts, starts), np.maximum.reduceat(block_pts, starts)
+    # A computed score or bound lies within (dim + 1) eps/2 ||corner|| of its
+    # exact value; the margin covers both with a factor of 4 to spare.
+    corner = np.maximum(np.abs(lo), np.abs(hi))
+    margin = 4 * (dim + 1) * np.finfo(float).eps * np.sqrt((corner**2).sum(axis=1).max())
+
+    assignment = np.empty(dmat.shape[0], dtype=np.int64)
+    formed = 0
+    for j0 in range(0, dmat.shape[0], _CHUNK_DIRS):
+        chunk = dmat[j0 : j0 + _CHUNK_DIRS]
+        bound = (np.clip(chunk, 0, None) @ hi.T + np.clip(chunk, None, 0) @ lo.T).T.copy()
+        best = np.full(chunk.shape[0], -np.inf)
+        winner = np.zeros(chunk.shape[0], dtype=np.int64)
+
+        def scan(b: int, rows: np.ndarray) -> int:
+            scores = chunk[rows] @ block_pts[starts[b] : starts[b] + _BLOCK_POINTS].T
+            arg = scores.argmax(axis=1)
+            val, idx = scores[np.arange(rows.size), arg], order[starts[b] + arg]
+            better = (val > best[rows]) | ((val == best[rows]) & (idx < winner[rows]))
+            best[rows[better]], winner[rows[better]] = val[better], idx[better]
+            return scores.size
+
+        seed, top_bound = bound.argmax(axis=0), bound.max(axis=1)
+        for b in np.unique(seed):
+            formed += scan(b, np.flatnonzero(seed == b))
+        for b in np.argsort(-top_bound):
+            floor = best - margin
+            if top_bound[b] < floor.min():
                 break
-            rows = sorted_pts[b * _PRUNE_BLOCK : (b + 1) * _PRUNE_BLOCK]
-            scores = rows @ chunk[alive].T
-            vals = scores.max(axis=0)
-            args = scores.argmax(axis=0) + b * _PRUNE_BLOCK
-            improved = vals > best[alive]
-            hit = alive[improved]
-            best[hit] = vals[improved]
-            winner[hit] = args[improved]
-        assignment[j0 : j0 + k] = order[winner]
-    return assignment
+            rows = np.flatnonzero((bound[b] >= floor) & (seed != b))
+            if rows.size:
+                formed += scan(b, rows)
+        assignment[j0 : j0 + chunk.shape[0]] = winner
+    return assignment, formed
 
 
 def build_sketch(cloud: PointCloud, dirs: DirectionSet) -> CurvatureSketch:
     """Assign every direction to its support winner and tally win counts.
 
-    Each direction's argmax is resolved independently, so results do not
-    depend on internal blocking or thread counts.  Large clouds take a
-    norm-pruned scan that skips point blocks provably unable to win; for
-    clouds with exactly tied scores (symmetric integer data) the documented
-    smallest-index tie-break is guaranteed on the direct path used below
-    the size threshold.
+    One exact kernel serves every cloud size: it skips the point blocks whose
+    bounding box cannot reach a direction's best score.  Of exactly tied
+    points the smallest index wins, at every size; ``scores_formed`` counts
+    the N*M scores actually computed.
     """
     if cloud.dim != dirs.dim:
         raise ValueError(f"dimension mismatch: cloud {cloud.dim}, dirs {dirs.dim}")
-    pts = cloud.points
-    dmat = dirs.directions
-    if len(cloud) >= _PRUNE_THRESHOLD:
-        assignment = _assign_pruned(pts, dmat)
-    else:
-        assignment = _assign_blocked(pts, dmat)
+    assignment, formed = _support_winners(cloud.points, dirs.directions)
     counts = np.bincount(assignment, minlength=len(cloud))
-    return CurvatureSketch(cloud=cloud, dirs=dirs, assignment=assignment, counts=counts)
+    return CurvatureSketch(cloud, dirs, assignment, counts, scores_formed=formed)
 
 
 def relative_curvature(sketch: CurvatureSketch, v: int) -> float:

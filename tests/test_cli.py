@@ -47,6 +47,8 @@ def test_sketch_outputs_and_oracle_subset(tmp_path):
     assert summary["seed"] == 3
     assert summary["version"]
     assert "runtime_ms" in summary
+    assert summary["counters"]["score_pairs"] == 200 * 500
+    assert 0 < summary["counters"]["scores_formed"] <= 200 * 500
     inner = read_matrix(tmp_path / "run_inner.csv")
     assert inner.shape[1] == 3  # x, y, curvature estimate
     assert summary["n_kept"] == inner.shape[0]
@@ -88,6 +90,46 @@ def test_compress_beta_zero_matches_sketch_output(tmp_path):
     clusters = json.loads((tmp_path / "c_clusters.json").read_text())
     for rep, members in clusters["members"].items():
         assert members == [int(rep)]
+
+
+def saved_sketch(tmp_path):
+    pts_path = gen_simplex(tmp_path, n=80, seed=13)
+    assert run([
+        "sketch", "--in", str(pts_path), "--dirs", "40", "--seed", "4",
+        "--out-prefix", str(tmp_path / "s"), "--save-sketch",
+    ]) == 0
+    return pts_path, json.loads((tmp_path / "s_sketch.json").read_text())
+
+
+def compress_with(tmp_path, pts_path, payload):
+    bad = tmp_path / "bad_sketch.json"
+    bad.write_text(json.dumps(payload))
+    return run([
+        "compress", "--in", str(pts_path), "--sketch-json", str(bad),
+        "--out-prefix", str(tmp_path / "c"),
+    ])
+
+
+def test_compress_rejects_sketch_json_without_a_key(tmp_path, capsys):
+    pts_path, payload = saved_sketch(tmp_path)
+    del payload["assignment"]
+    assert compress_with(tmp_path, pts_path, payload) == 1
+    assert "lacks assignment" in capsys.readouterr().err
+
+
+def test_compress_rejects_sketch_json_of_another_direction_method(tmp_path, capsys):
+    pts_path, payload = saved_sketch(tmp_path)
+    payload["dirs_method"] = "halton"
+    assert compress_with(tmp_path, pts_path, payload) == 1
+    assert "dirs_method" in capsys.readouterr().err
+
+
+def test_compress_rejects_sketch_json_assignment_out_of_range(tmp_path, capsys):
+    pts_path, payload = saved_sketch(tmp_path)
+    for bad in (payload["n_points"], -1):
+        payload["assignment"][0] = bad
+        assert compress_with(tmp_path, pts_path, payload) == 1
+        assert "outside [0, 80)" in capsys.readouterr().err
 
 
 def test_compress_ratios_match_hand_counts(tmp_path):

@@ -168,6 +168,13 @@ def test_exact_extreme_collinear():
     assert exact_extreme_points(cloud).tolist() == [0, 2]
 
 
+def test_exact_extreme_keeps_a_duplicated_vertex_once():
+    # each copy of (1, 1) lies in the hull of the other; the smallest index stays
+    cloud = PointCloud([[0, 0], [1, 0], [0, 1], [1, 1], [1, 1], [0.5, 0.5]])
+    assert exact_extreme_points(cloud).tolist() == [0, 1, 2, 3]
+    assert exact_extreme_points(PointCloud([[2.0, 1.0], [2.0, 1.0]])).tolist() == [0]
+
+
 def test_exact_extreme_matches_monotone_chain():
     rng = np.random.default_rng(11)
     # 200 points uniform in a triangle

@@ -16,6 +16,7 @@ from hullsketch import (
     sample_uniform,
     threshold_filter,
 )
+from hullsketch.sketch import _BLOCK_POINTS
 
 from oracles import naive_sketch_counts, polygon_vertex_curvatures
 
@@ -53,6 +54,53 @@ def test_counts_match_naive_double_loop():
     dirs = sample_uniform(150, 3, seed=32)
     sk = build_sketch(cloud, dirs)
     assert np.array_equal(sk.counts, naive_sketch_counts(cloud.points, dirs.directions))
+
+
+def test_counts_match_naive_loop_across_blocks():
+    rng = np.random.default_rng(33)
+    cloud = PointCloud(rng.standard_normal((2 * _BLOCK_POINTS + 300, 3)))
+    dirs = sample_uniform(60, 3, seed=34)
+    sk = build_sketch(cloud, dirs)
+    assert np.array_equal(sk.counts, naive_sketch_counts(cloud.points, dirs.directions))
+
+
+def dyadic_directions(dim, rng):
+    """Unit directions whose products with integers are exact: +-e_i, plus
+    sign vectors of entries +-1/2 in 4-d and +-1/8 in 64-d."""
+    axes = np.vstack([np.eye(dim), -np.eye(dim)])
+    if dim in (4, 64):
+        signs = rng.choice([-1.0, 1.0], size=(24, dim)) / math.sqrt(dim)
+        axes = np.vstack([axes, signs])
+    return DirectionSet(axes, seed=0, method="dyadic")
+
+
+@pytest.mark.parametrize(
+    "dim,n",
+    [(1, 1), (1, _BLOCK_POINTS + 1), (4, 1), (4, _BLOCK_POINTS - 1), (4, _BLOCK_POINTS),
+     (4, _BLOCK_POINTS + 1), (4, 65_536 + 7), (64, _BLOCK_POINTS + 1), (70, 600)],
+)
+@pytest.mark.parametrize("scale", [2.0**-30, 1.0, 2.0**30])
+@pytest.mark.parametrize("offset", [0.0, 2.0**30])
+@pytest.mark.filterwarnings("error")  # an overflowing sort-key cast must fail, not warn
+def test_exact_ties_go_to_smallest_index(dim, n, scale, offset):
+    # small integer grids tie constantly, and every score is exact in floating
+    # point, so the kernel must reproduce the direct first-occurrence argmax
+    rng = np.random.default_rng([dim, n, int(math.log2(scale)) + 64, int(offset > 0)])
+    pts = scale * (offset + rng.integers(-2, 3, size=(n, dim)).astype(float))
+    dirs = dyadic_directions(dim, rng)
+    sk = build_sketch(PointCloud(pts), dirs)
+    assert np.array_equal(sk.assignment, np.argmax(pts @ dirs.directions.T, axis=0))
+    assert 0 < sk.scores_formed <= n * len(dirs)
+
+
+def test_block_bound_prunes_the_sphere():
+    rng = np.random.default_rng(35)
+    raw = rng.standard_normal((40_000, 3))
+    cloud = PointCloud(raw / np.linalg.norm(raw, axis=1, keepdims=True))
+    dirs = sample_uniform(300, 3, seed=36)
+    sk = build_sketch(cloud, dirs)
+    assert np.array_equal(sk.assignment, np.argmax(cloud.points @ dirs.directions.T, axis=0))
+    assert sk.scores_formed < 0.5 * len(cloud) * len(dirs)
 
 
 def test_dim_mismatch():
