@@ -31,7 +31,6 @@ from .datagen import ShapeSpec, generate
 from .directions import DirectionSet, concat, sample_uniform
 from .geometry import (
     ConvergenceError,
-    Halfspace,
     PointCloud,
     ProjectionResult,
     VertexPolytope,
@@ -69,7 +68,6 @@ __all__ = [
     "DirectionBundle",
     "DirectionSet",
     "ErrorReport",
-    "Halfspace",
     "InnerHull",
     "NoConstraintsSurvivedError",
     "OuterErrorResult",

@@ -11,7 +11,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,40 +38,16 @@ from .geometry import (
     VertexPolytope,
     exact_extreme_points,
 )
-from .io import (
-    CsvFormatError,
-    read_halfspaces,
-    read_matrix,
-    read_points,
-    write_halfspaces,
-    write_matrix,
-    write_points,
-)
+from .io import read_halfspaces, read_matrix, write_halfspaces, write_matrix
 from .metrics import (
     ErrorReport,
     UnboundedOuterHullError,
     inner_error,
     outer_error,
-    support_under_constraints,
 )
 from .sketch import CurvatureSketch, OuterHull, build_sketch, outer_hull, threshold_filter
 
-__all__ = [
-    "GenConfig",
-    "SketchConfig",
-    "CompressConfig",
-    "ErrorConfig",
-    "BoundsConfig",
-    "BenchConfig",
-    "cmd_gen",
-    "cmd_sketch",
-    "cmd_compress",
-    "cmd_error",
-    "cmd_bounds",
-    "cmd_bench",
-    "main",
-    "entrypoint",
-]
+__all__ = ["build_parser", "bench_rows", "main", "entrypoint"]
 
 # Derived-seed offsets so each random stage has its own stream.
 FILTER_SEED_OFFSET = 1
@@ -85,96 +60,6 @@ DEFAULT_ORACLE_CAP = 2000
 
 class CliValidationError(ValueError):
     pass
-
-
-# ---------------------------------------------------------------------------
-# configs
-
-
-@dataclass
-class GenConfig:
-    shape: str
-    dims: int
-    points: int
-    seed: int
-    out: str
-    transform_path: str | None = None
-
-
-@dataclass
-class SketchConfig:
-    points_path: str
-    n_dirs: int
-    alpha: float
-    mode: str
-    seed: int
-    out_prefix: str
-    save_sketch: bool = False
-
-
-@dataclass
-class CompressConfig:
-    points_path: str
-    out_prefix: str
-    seed: int
-    n_dirs: int = 1000
-    alpha: float = 0.0
-    mode: str = "hard"
-    beta: float = 0.0
-    order: str = "decreasing"
-    sketch_json: str | None = None
-    hyperplanes: bool = False
-    inner_alpha: float = 0.1
-    inner_beta: float = 0.0
-    merge_angle: float = math.pi / 36
-    variant: str = "recursive"
-    gamma: float | None = None
-    oracle_cap: int = DEFAULT_ORACLE_CAP
-
-
-@dataclass
-class ErrorConfig:
-    points_path: str
-    inner_path: str
-    halfspaces_path: str
-    out: str
-    seed: int = 0
-    probes: int = 200
-    oracle_cap: int = DEFAULT_ORACLE_CAP
-    sketch_json: str | None = None
-
-
-@dataclass
-class BoundsConfig:
-    out: str | None = None
-    sweep: bool = False
-    n: int = 3
-    r: float = 1.0
-    p: float = 0.05
-    eps: float = 0.1
-    x_count: int = 1
-    omega: float | None = None
-    k: float | None = None
-    m: int | None = None
-    theta: float | None = None
-
-
-@dataclass
-class BenchConfig:
-    schedule: list[int]
-    out: str
-    seed: int
-    points_path: str | None = None
-    shape: str | None = None
-    dims: int = 3
-    points: int = 10000
-    gen_seed: int | None = None
-    alpha: float = 0.0
-    mode: str = "hard"
-    probes: int = 200
-    oracle_cap: int = DEFAULT_ORACLE_CAP
-    ref_dirs: int | None = None
-    transform_path: str | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -236,44 +121,49 @@ def _reference_extremes(
 
 # ---------------------------------------------------------------------------
 # commands
+#
+# Each command takes the parsed argparse namespace; the parser is the only
+# place that holds a flag's default.
 
 
-def cmd_gen(cfg: GenConfig) -> dict:
-    matrix, shift = _load_transform(cfg.transform_path, cfg.dims)
-    spec = ShapeSpec(
-        kind=cfg.shape,
-        dim=cfg.dims,
-        count=cfg.points,
-        seed=cfg.seed,
-        transform=matrix,
-        shift=shift,
+def _generate(args, seed: int) -> PointCloud:
+    """Synthetic cloud from --shape/--dims/--points/--transform."""
+    matrix, shift = _load_transform(args.transform, args.dims)
+    return generate(
+        ShapeSpec(
+            kind=args.shape,
+            dim=args.dims,
+            count=args.points,
+            seed=seed,
+            transform=matrix,
+            shift=shift,
+        )
     )
-    cloud = generate(spec)
-    write_points(cfg.out, cloud.points)
-    summary = _summary_base(cfg.seed, {"shape": cfg.shape, "dims": cfg.dims, "points": cfg.points})
-    summary.update({"out": cfg.out})
-    return summary
 
 
-def cmd_sketch(cfg: SketchConfig) -> dict:
-    if not 0.0 <= cfg.alpha <= 1.0:
+def cmd_gen(args) -> None:
+    write_matrix(args.out, _generate(args, args.seed).points)
+
+
+def cmd_sketch(args) -> None:
+    if not 0.0 <= args.alpha <= 1.0:
         raise CliValidationError("alpha must lie in [0, 1]")
-    if cfg.n_dirs < 1:
+    if args.dirs < 1:
         raise CliValidationError("dirs must be >= 1")
     t0 = time.perf_counter()
-    cloud = PointCloud(read_points(cfg.points_path))
-    dirs = sample_uniform(cfg.n_dirs, cloud.dim, cfg.seed)
+    cloud = PointCloud(read_matrix(args.points_path))
+    dirs = sample_uniform(args.dirs, cloud.dim, args.seed)
     sketch = build_sketch(cloud, dirs)
-    inner = threshold_filter(sketch, cfg.alpha, cfg.mode, cfg.seed + FILTER_SEED_OFFSET)
+    inner = threshold_filter(sketch, args.alpha, args.mode, args.seed + FILTER_SEED_OFFSET)
     outer = outer_hull(sketch, cloud, dirs)
     runtime_ms = 1000.0 * (time.perf_counter() - t0)
 
     n_found = int(np.count_nonzero(sketch.counts))
-    _inner_csv(f"{cfg.out_prefix}_inner.csv", inner.select(cloud), inner.curvatures)
-    write_halfspaces(f"{cfg.out_prefix}_halfspaces.csv", outer.normals, outer.offsets)
+    _inner_csv(f"{args.out_prefix}_inner.csv", inner.select(cloud), inner.curvatures)
+    write_halfspaces(f"{args.out_prefix}_halfspaces.csv", outer.normals, outer.offsets)
     summary = _summary_base(
-        cfg.seed,
-        {"dirs": cfg.n_dirs, "alpha": cfg.alpha, "mode": cfg.mode, "in": cfg.points_path},
+        args.seed,
+        {"dirs": args.dirs, "alpha": args.alpha, "mode": args.mode, "in": args.points_path},
     )
     summary.update(
         {
@@ -289,10 +179,9 @@ def cmd_sketch(cfg: SketchConfig) -> dict:
     if len(inner) == 0:
         summary["warning"] = "threshold kept no points (every curvature <= alpha)"
         print(summary["warning"], file=sys.stderr)
-    if cfg.save_sketch:
-        _write_json(f"{cfg.out_prefix}_sketch.json", sketch.to_dict())
-    _write_json(f"{cfg.out_prefix}_summary.json", summary)
-    return summary
+    if args.save_sketch:
+        _write_json(f"{args.out_prefix}_sketch.json", sketch.to_dict())
+    _write_json(f"{args.out_prefix}_summary.json", summary)
 
 
 def _sketch_from_json(path: str, cloud: PointCloud) -> CurvatureSketch:
@@ -318,31 +207,31 @@ def _sketch_from_json(path: str, cloud: PointCloud) -> CurvatureSketch:
     )
 
 
-def cmd_compress(cfg: CompressConfig) -> dict:
-    if cfg.beta < 0:
-        raise CliValidationError("beta must be nonnegative")
+def cmd_compress(args) -> None:
+    if not 0.0 <= args.beta < math.inf:  # a NaN or infinite beta would corrupt the JSON
+        raise CliValidationError("beta must be finite and nonnegative")
     t0 = time.perf_counter()
-    cloud = PointCloud(read_points(cfg.points_path))
-    if cfg.sketch_json is not None:
-        sketch = _sketch_from_json(cfg.sketch_json, cloud)
+    cloud = PointCloud(read_matrix(args.points_path))
+    if args.sketch_json is not None:
+        sketch = _sketch_from_json(args.sketch_json, cloud)
     else:
-        dirs = sample_uniform(cfg.n_dirs, cloud.dim, cfg.seed)
+        dirs = sample_uniform(args.dirs, cloud.dim, args.seed)
         sketch = build_sketch(cloud, dirs)
-    inner = threshold_filter(sketch, cfg.alpha, cfg.mode, cfg.seed + FILTER_SEED_OFFSET)
-    compressed, clusters = vertex_compress(inner, cloud, sketch, cfg.beta, cfg.order)
+    inner = threshold_filter(sketch, args.alpha, args.mode, args.seed + FILTER_SEED_OFFSET)
+    compressed, clusters = vertex_compress(inner, cloud, sketch, args.beta, args.order)
 
     _inner_csv(
-        f"{cfg.out_prefix}_vertices.csv", compressed.select(cloud), compressed.curvatures
+        f"{args.out_prefix}_vertices.csv", compressed.select(cloud), compressed.curvatures
     )
     cluster_payload = {
         "representatives": clusters.representatives.tolist(),
         "members": {str(k): v.tolist() for k, v in clusters.members.items()},
-        "beta": cfg.beta,
-        "order": cfg.order,
+        "beta": args.beta,
+        "order": args.order,
     }
 
     n_planes_out = None
-    if cfg.hyperplanes:
+    if args.hyperplanes:
         bundle = direction_bundle(sketch, clusters)
         hull = hyperplane_compress(
             cloud,
@@ -350,18 +239,18 @@ def cmd_compress(cfg: CompressConfig) -> dict:
             sketch.dirs,
             clusters,
             bundle,
-            inner_alpha=cfg.inner_alpha,
-            inner_beta=cfg.inner_beta,
-            merge_angle=cfg.merge_angle,
-            variant=cfg.variant,
-            gamma=cfg.gamma,
-            seed=cfg.seed,
+            inner_alpha=args.inner_alpha,
+            inner_beta=args.inner_beta,
+            merge_angle=args.merge_angle,
+            variant=args.variant,
+            gamma=args.gamma,
+            seed=args.seed,
         )
-        write_halfspaces(f"{cfg.out_prefix}_halfspaces.csv", hull.normals, hull.offsets)
+        write_halfspaces(f"{args.out_prefix}_halfspaces.csv", hull.normals, hull.offsets)
         n_planes_out = len(hull)
         cluster_payload["n_halfspaces"] = n_planes_out
 
-    _write_json(f"{cfg.out_prefix}_clusters.json", cluster_payload)
+    _write_json(f"{args.out_prefix}_clusters.json", cluster_payload)
 
     ratios_payload: dict = {
         "found_vertices": len(compressed),
@@ -371,7 +260,7 @@ def cmd_compress(cfg: CompressConfig) -> dict:
         "true_planes": None,
         "plane_ratio": None,
     }
-    if len(cloud) <= cfg.oracle_cap:
+    if len(cloud) <= args.oracle_cap:
         true_idx = exact_extreme_points(cloud)
         true_v = int(true_idx.size)
         ratios_payload["true_vertices"] = true_v
@@ -383,16 +272,16 @@ def cmd_compress(cfg: CompressConfig) -> dict:
         else:
             vr, _ = compression_ratios(len(compressed), true_v)
         ratios_payload["vertex_ratio"] = vr
-    _write_json(f"{cfg.out_prefix}_ratios.json", ratios_payload)
+    _write_json(f"{args.out_prefix}_ratios.json", ratios_payload)
 
     summary = _summary_base(
-        cfg.seed,
+        args.seed,
         {
-            "beta": cfg.beta,
-            "alpha": cfg.alpha,
-            "order": cfg.order,
-            "hyperplanes": cfg.hyperplanes,
-            "in": cfg.points_path,
+            "beta": args.beta,
+            "alpha": args.alpha,
+            "order": args.order,
+            "hyperplanes": args.hyperplanes,
+            "in": args.points_path,
         },
     )
     summary.update(
@@ -403,14 +292,15 @@ def cmd_compress(cfg: CompressConfig) -> dict:
             "runtime_ms": 1000.0 * (time.perf_counter() - t0),
         }
     )
-    _write_json(f"{cfg.out_prefix}_summary.json", summary)
-    return summary
+    _write_json(f"{args.out_prefix}_summary.json", summary)
 
 
-def cmd_error(cfg: ErrorConfig) -> dict:
-    cloud = PointCloud(read_points(cfg.points_path))
-    kept = _read_inner_csv(cfg.inner_path, cloud.dim)
-    normals, offsets = read_halfspaces(cfg.halfspaces_path)
+def cmd_error(args) -> None:
+    if args.oracle_cap < 1:
+        raise CliValidationError("oracle-cap must be >= 1")
+    cloud = PointCloud(read_matrix(args.points_path))
+    kept = _read_inner_csv(args.inner, cloud.dim)
+    normals, offsets = read_halfspaces(args.halfspaces)
     if normals.shape[1] != cloud.dim:
         raise CliValidationError("halfspace dimension does not match the points")
     outer = OuterHull(
@@ -419,13 +309,13 @@ def cmd_error(cfg: ErrorConfig) -> dict:
         support_indices=np.full(len(offsets), -1, dtype=np.int64),
     )
 
-    if len(cloud) <= cfg.oracle_cap:
+    if len(cloud) <= args.oracle_cap:
         oracle_idx = exact_extreme_points(cloud)
         reference = VertexPolytope(cloud.points[oracle_idx])
         reference_tag = "oracle"
     else:
-        rng = np.random.Generator(np.random.PCG64(cfg.seed + SUBSAMPLE_SEED_OFFSET))
-        pick = rng.choice(len(cloud), size=cfg.oracle_cap, replace=False)
+        rng = np.random.Generator(np.random.PCG64(args.seed + SUBSAMPLE_SEED_OFFSET))
+        pick = rng.choice(len(cloud), size=args.oracle_cap, replace=False)
         sub = PointCloud(cloud.points[np.sort(pick)])
         oracle_idx = exact_extreme_points(sub)
         reference = VertexPolytope(sub.points[oracle_idx])
@@ -436,16 +326,16 @@ def cmd_error(cfg: ErrorConfig) -> dict:
     outer_val = None
     outer_method = None
     n_probes = 0
-    if cfg.probes > 0 or cloud.dim == 2:
+    if args.probes > 0 or cloud.dim == 2:
         probes = None
         if cloud.dim >= 3:
-            probes = sample_uniform(cfg.probes, cloud.dim, cfg.seed + PROBE_SEED_OFFSET)
+            probes = sample_uniform(args.probes, cloud.dim, args.seed + PROBE_SEED_OFFSET)
         result = outer_error(outer, VertexPolytope(cloud.points), probes)
         outer_val, outer_method, n_probes = result.value, result.method, result.n_probes
 
     n_found = None
-    if cfg.sketch_json is not None:
-        n_found = int(np.count_nonzero(_sketch_from_json(cfg.sketch_json, cloud).counts))
+    if args.sketch_json is not None:
+        n_found = int(np.count_nonzero(_sketch_from_json(args.sketch_json, cloud).counts))
 
     report = ErrorReport(
         inner_error=inner_val,
@@ -459,96 +349,84 @@ def cmd_error(cfg: ErrorConfig) -> dict:
     payload = report.to_dict()
     payload["reference"] = reference_tag
     payload["reference_vertices"] = len(reference)
-    _write_json(cfg.out, payload)
-    return payload
+    _write_json(args.out, payload)
 
 
-def cmd_bounds(cfg: BoundsConfig) -> dict:
-    if cfg.sweep:
-        if cfg.out is None:
+def cmd_bounds(args) -> None:
+    if args.sweep:
+        if args.out is None:
             raise CliValidationError("--sweep needs --out for the CSV")
         rows = []
         omegas = np.linspace(0.002, 0.5, 250)
         for n in (2, 3, 4, 5):
             for w in omegas:
-                rows.append(("aleksandrov", n, w, aleksandrov_bound(cfg.r, n, w)))
+                rows.append(("aleksandrov", n, w, aleksandrov_bound(args.r, n, w)))
         for w in omegas:
-            rows.append(("direction-count", 0, w, direction_count_bound(w, cfg.p)))
-        with open(cfg.out, "w") as fh:
+            rows.append(("direction-count", 0, w, direction_count_bound(w, args.p)))
+        with open(args.out, "w") as fh:
             fh.write("# curve,n,omega,value\n")
             for curve, n, w, v in rows:
                 fh.write(f"{curve},{n},{w:.17g},{v:.17g}\n")
-        return {"out": cfg.out, "rows": len(rows)}
+        return
 
-    out: dict = {"params": {"n": cfg.n, "r": cfg.r, "p": cfg.p, "eps": cfg.eps, "x_count": cfg.x_count}}
-    if cfg.k is not None and cfg.m is not None:
-        out["chebyshev"] = chebyshev_bound(cfg.k, cfg.m, cfg.eps)
-    if cfg.omega is not None:
-        out["direction_count"] = direction_count_bound(cfg.omega, cfg.p)
-        out["aleksandrov"] = aleksandrov_bound(cfg.r, cfg.n, cfg.omega)
-    if cfg.theta is not None:
-        out["cap_lower_bound"] = cap_lower_bound(cfg.theta, cfg.n)
-    query = BoundQuery(n=cfg.n, r=cfg.r, p=cfg.p, eps=cfg.eps, x_count=cfg.x_count)
+    out: dict = {"params": {"n": args.n, "r": args.r, "p": args.p, "eps": args.eps, "x_count": args.x_count}}
+    if args.k is not None and args.m is not None:
+        out["chebyshev"] = chebyshev_bound(args.k, args.m, args.eps)
+    if args.omega is not None:
+        out["direction_count"] = direction_count_bound(args.omega, args.p)
+        out["aleksandrov"] = aleksandrov_bound(args.r, args.n, args.omega)
+    if args.theta is not None:
+        out["cap_lower_bound"] = cap_lower_bound(args.theta, args.n)
+    query = BoundQuery(n=args.n, r=args.r, p=args.p, eps=args.eps, x_count=args.x_count)
     out["directions_worst_case"] = directions_for_inner_error(query, "worst-case")
     out["directions_single_point"] = directions_for_inner_error(query, "single-point")
     text = json.dumps(out, indent=2, sort_keys=True)
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
-    return out
 
 
-def _bench_cloud(cfg: BenchConfig) -> PointCloud:
-    if cfg.points_path is not None:
-        return PointCloud(read_points(cfg.points_path))
-    if cfg.shape is None:
-        raise CliValidationError("bench needs --in or --shape")
-    matrix, shift = _load_transform(cfg.transform_path, cfg.dims)
-    spec = ShapeSpec(
-        kind=cfg.shape,
-        dim=cfg.dims,
-        count=cfg.points,
-        seed=cfg.gen_seed if cfg.gen_seed is not None else cfg.seed,
-        transform=matrix,
-        shift=shift,
-    )
-    return generate(spec)
-
-
-def bench_rows(cfg: BenchConfig) -> list[dict]:
+def bench_rows(args) -> list[dict]:
     """Run the direction-count schedule and return one metrics row per entry.
 
-    The schedule shares a single nested direction sample: the run at M uses
+    ``args`` is the namespace ``build_parser()`` parses for ``bench``.  The
+    schedule shares a single nested direction sample: the run at M uses
     the first M directions of the longest run, so found sets grow and the
     outer constraint sets are nested, making the error columns non-increasing
-    sequences rather than statistical trends.
+    sequences rather than statistical trends.  The outer error is the one
+    ``error`` reports for the same halfspaces and probes.
     """
-    if len(cfg.schedule) == 0:
+    schedule = args.schedule
+    if len(schedule) == 0:
         raise CliValidationError("schedule must be nonempty")
-    if any(m < 1 for m in cfg.schedule):
+    if any(m < 1 for m in schedule):
         raise CliValidationError("schedule entries must be >= 1")
-    if any(b <= a for a, b in zip(cfg.schedule, cfg.schedule[1:])):
+    if any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise CliValidationError("schedule must be strictly increasing")
-    cloud = _bench_cloud(cfg)
-    m_max = cfg.schedule[-1]
-    dirs = sample_uniform(m_max, cloud.dim, cfg.seed)
+    if args.points_path is not None:
+        cloud = PointCloud(read_matrix(args.points_path))
+    elif args.shape is not None:
+        cloud = _generate(args, args.gen_seed if args.gen_seed is not None else args.seed)
+    else:
+        raise CliValidationError("bench needs --in or --shape")
+    m_max = schedule[-1]
+    dirs = sample_uniform(m_max, cloud.dim, args.seed)
     full = build_sketch(cloud, dirs)
 
-    ref_dirs = cfg.ref_dirs if cfg.ref_dirs is not None else 4 * m_max
-    reference, ref_tag = _reference_extremes(cloud, cfg.seed, cfg.oracle_cap, ref_dirs)
+    ref_dirs = args.ref_dirs if args.ref_dirs is not None else 4 * m_max
+    reference, ref_tag = _reference_extremes(cloud, args.seed, args.oracle_cap, ref_dirs)
 
     probes = None
-    true_supports = None
     if cloud.dim >= 3:
-        if cfg.probes < 1:
+        if args.probes < 1:
             raise CliValidationError("bench needs probes >= 1 in dimension >= 3")
-        probes = sample_uniform(cfg.probes, cloud.dim, cfg.seed + PROBE_SEED_OFFSET)
-        true_supports = outer_hull(build_sketch(cloud, probes), cloud, probes).offsets
+        probes = sample_uniform(args.probes, cloud.dim, args.seed + PROBE_SEED_OFFSET)
+    hull = VertexPolytope(cloud.points)
 
     rows = []
-    for m in cfg.schedule:
+    for m in schedule:
         prefix_dirs = dirs.prefix(m)
         assignment = full.assignment[:m]
         counts = np.bincount(assignment, minlength=len(cloud))
@@ -556,7 +434,7 @@ def bench_rows(cfg: BenchConfig) -> list[dict]:
             cloud=cloud, dirs=prefix_dirs, assignment=assignment, counts=counts
         )
         inner_m = threshold_filter(
-            sketch_m, cfg.alpha, cfg.mode, cfg.seed + FILTER_SEED_OFFSET
+            sketch_m, args.alpha, args.mode, args.seed + FILTER_SEED_OFFSET
         )
         n_found = int(np.count_nonzero(counts))
         if len(inner_m) > 0:
@@ -567,16 +445,7 @@ def bench_rows(cfg: BenchConfig) -> list[dict]:
             )
         else:
             inner_val = math.inf
-
-        outer_m = outer_hull(sketch_m, cloud, prefix_dirs)
-        if cloud.dim == 2:
-            res = outer_error(outer_m, VertexPolytope(cloud.points))
-            outer_val, method = res.value, res.method
-        else:
-            worst = 0.0
-            for j, d in enumerate(probes.directions):
-                worst = max(worst, support_under_constraints(outer_m, d) - true_supports[j])
-            outer_val, method = max(worst, 0.0), "support-gap-estimate"
+        outer = outer_error(outer_hull(sketch_m, cloud, prefix_dirs), hull, probes)
 
         rows.append(
             {
@@ -584,24 +453,23 @@ def bench_rows(cfg: BenchConfig) -> list[dict]:
                 "n_found": n_found,
                 "n_kept": len(inner_m),
                 "inner_error": inner_val,
-                "outer_error": outer_val,
-                "method": method,
+                "outer_error": outer.value,
+                "method": outer.method,
                 "reference": ref_tag,
             }
         )
     return rows
 
 
-def cmd_bench(cfg: BenchConfig) -> list[dict]:
-    rows = bench_rows(cfg)
-    with open(cfg.out, "w") as fh:
+def cmd_bench(args) -> None:
+    rows = bench_rows(args)
+    with open(args.out, "w") as fh:
         fh.write("# n_dirs,n_found,n_kept,inner_error,outer_error,method\n")
         for r in rows:
             fh.write(
                 f"{r['n_dirs']},{r['n_found']},{r['n_kept']},"
                 f"{r['inner_error']:.17g},{r['outer_error']:.17g},{r['method']}\n"
             )
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -631,9 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--transform", default=None, help="CSV with the affine map")
-    p.set_defaults(run=lambda a: cmd_gen(
-        GenConfig(a.shape, a.dims, a.points, a.seed, a.out, a.transform)
-    ))
+    p.set_defaults(run=cmd_gen)
 
     p = sub.add_parser("sketch", help="curvature sketch: inner hull + halfspaces")
     p.add_argument("--in", dest="points_path", required=True)
@@ -643,9 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-prefix", required=True)
     p.add_argument("--save-sketch", action="store_true")
-    p.set_defaults(run=lambda a: cmd_sketch(
-        SketchConfig(a.points_path, a.dirs, a.alpha, a.mode, a.seed, a.out_prefix, a.save_sketch)
-    ))
+    p.set_defaults(run=cmd_sketch)
 
     p = sub.add_parser("compress", help="vertex and hyperplane compression")
     p.add_argument("--in", dest="points_path", required=True)
@@ -664,26 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", choices=("recursive", "gamma-threshold"), default="recursive")
     p.add_argument("--gamma", type=float, default=None)
     p.add_argument("--oracle-cap", type=int, default=DEFAULT_ORACLE_CAP)
-    p.set_defaults(run=lambda a: cmd_compress(
-        CompressConfig(
-            points_path=a.points_path,
-            out_prefix=a.out_prefix,
-            seed=a.seed,
-            n_dirs=a.dirs,
-            alpha=a.alpha,
-            mode=a.mode,
-            beta=a.beta,
-            order=a.order,
-            sketch_json=a.sketch_json,
-            hyperplanes=a.hyperplanes,
-            inner_alpha=a.inner_alpha,
-            inner_beta=a.inner_beta,
-            merge_angle=a.merge_angle,
-            variant=a.variant,
-            gamma=a.gamma,
-            oracle_cap=a.oracle_cap,
-        )
-    ))
+    p.set_defaults(run=cmd_compress)
 
     p = sub.add_parser("error", help="inner/outer error report")
     p.add_argument("--in", dest="points_path", required=True)
@@ -694,18 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--probes", type=int, default=200)
     p.add_argument("--oracle-cap", type=int, default=DEFAULT_ORACLE_CAP)
     p.add_argument("--sketch-json", default=None)
-    p.set_defaults(run=lambda a: cmd_error(
-        ErrorConfig(
-            points_path=a.points_path,
-            inner_path=a.inner,
-            halfspaces_path=a.halfspaces,
-            out=a.out,
-            seed=a.seed,
-            probes=a.probes,
-            oracle_cap=a.oracle_cap,
-            sketch_json=a.sketch_json,
-        )
-    ))
+    p.set_defaults(run=cmd_error)
 
     p = sub.add_parser("bounds", help="evaluate the probabilistic/geometric bounds")
     p.add_argument("--n", type=int, default=3)
@@ -719,12 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", type=float, default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--sweep", action="store_true")
-    p.set_defaults(run=lambda a: cmd_bounds(
-        BoundsConfig(
-            out=a.out, sweep=a.sweep, n=a.n, r=a.r, p=a.p, eps=a.eps,
-            x_count=a.x_count, omega=a.omega, k=a.k, m=a.m, theta=a.theta,
-        )
-    ))
+    p.set_defaults(run=cmd_bounds)
 
     p = sub.add_parser("bench", help="error-vs-directions curves over a schedule")
     p.add_argument("--schedule", required=True, type=_parse_schedule)
@@ -741,24 +570,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle-cap", type=int, default=DEFAULT_ORACLE_CAP)
     p.add_argument("--ref-dirs", type=int, default=None)
     p.add_argument("--transform", default=None)
-    p.set_defaults(run=lambda a: cmd_bench(
-        BenchConfig(
-            schedule=a.schedule,
-            out=a.out,
-            seed=a.seed,
-            points_path=a.points_path,
-            shape=a.shape,
-            dims=a.dims,
-            points=a.points,
-            gen_seed=a.gen_seed,
-            alpha=a.alpha,
-            mode=a.mode,
-            probes=a.probes,
-            oracle_cap=a.oracle_cap,
-            ref_dirs=a.ref_dirs,
-            transform_path=a.transform,
-        )
-    ))
+    p.set_defaults(run=cmd_bench)
     return parser
 
 
@@ -767,7 +579,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         args.run(args)
-    except (CliValidationError, CsvFormatError, FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError covers CliValidationError, CsvFormatError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (

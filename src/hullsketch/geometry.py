@@ -17,7 +17,6 @@ import numpy as np
 
 __all__ = [
     "PointCloud",
-    "Halfspace",
     "VertexPolytope",
     "ConvergenceError",
     "ProjectionResult",
@@ -83,38 +82,6 @@ class VertexPolytope:
 
     def __len__(self) -> int:
         return self.vertices.shape[0]
-
-
-@dataclass(frozen=True)
-class Halfspace:
-    """A constraint ``normal . x <= offset`` with a unit normal.
-
-    ``support_index`` optionally records which cloud point attained the
-    maximum when the constraint was generated by a support query.
-    """
-
-    normal: np.ndarray
-    offset: float
-    support_index: int | None = None
-
-    def __post_init__(self):
-        normal = np.array(self.normal, dtype=np.float64, copy=True)
-        if normal.ndim != 1:
-            raise ValueError("normal must be a 1-d vector")
-        if not np.all(np.isfinite(normal)) or not math.isfinite(self.offset):
-            raise ValueError("halfspace data must be finite")
-        if abs(np.linalg.norm(normal) - 1.0) > 1e-9:
-            raise ValueError("normal must have unit length (within 1e-9)")
-        normal.setflags(write=False)
-        object.__setattr__(self, "normal", normal)
-        object.__setattr__(self, "offset", float(self.offset))
-
-    @property
-    def dim(self) -> int:
-        return self.normal.shape[0]
-
-    def contains(self, x, tol: float = DEFAULT_TOL) -> bool:
-        return float(np.dot(self.normal, x)) <= self.offset + tol
 
 
 class ConvergenceError(RuntimeError):

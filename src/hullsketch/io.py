@@ -1,4 +1,4 @@
-"""CSV readers/writers for points, directions, and halfspaces.
+"""CSV readers/writers for point matrices and halfspaces.
 
 Grammar: comma-separated decimal floats, optional comment/header lines
 starting with ``#``, LF or CRLF endings.  Values are written with 17
@@ -15,12 +15,8 @@ __all__ = [
     "CsvFormatError",
     "read_matrix",
     "write_matrix",
-    "read_points",
-    "write_points",
     "read_halfspaces",
     "write_halfspaces",
-    "read_directions",
-    "write_directions",
 ]
 
 FLOAT_FORMAT = "%.17g"
@@ -77,14 +73,6 @@ def write_matrix(path, data) -> None:
     np.savetxt(path, data, delimiter=",", fmt=FLOAT_FORMAT)
 
 
-def read_points(path) -> np.ndarray:
-    return read_matrix(path)
-
-
-def write_points(path, points) -> None:
-    write_matrix(path, points)
-
-
 def write_halfspaces(path, normals, offsets) -> None:
     """Halfspace CSV: dim normal columns followed by one offset column."""
     normals = np.atleast_2d(np.asarray(normals, dtype=np.float64))
@@ -99,22 +87,3 @@ def read_halfspaces(path) -> tuple[np.ndarray, np.ndarray]:
     if data.shape[1] < 2:
         raise CsvFormatError(f"{path}: halfspace rows need at least 2 columns")
     return data[:, :-1], data[:, -1]
-
-
-def write_directions(path, dirs) -> None:
-    """Direction CSV: one unit vector per row."""
-    from .directions import DirectionSet
-
-    arr = dirs.directions if isinstance(dirs, DirectionSet) else dirs
-    write_matrix(path, arr)
-
-
-def read_directions(path, seed: int = 0, method: str = "gaussian-uniform"):
-    """Read a direction CSV back into a set.
-
-    The file carries no RNG provenance; ``seed``/``method`` are caller-supplied
-    tags and the stored vectors are authoritative.
-    """
-    from .directions import DirectionSet
-
-    return DirectionSet(read_matrix(path), seed=seed, method=method)

@@ -28,7 +28,7 @@ from hullsketch import (
     threshold_filter,
     vertex_compress,
 )
-from hullsketch.cli import BenchConfig, bench_rows, main
+from hullsketch.cli import bench_rows, build_parser, main
 
 from oracles import normal_cone_curvature_3d, polygon_vertex_curvatures
 
@@ -126,20 +126,14 @@ def test_criterion_04_sandwich_invariant_all_families():
 
 
 def _bench(shape: str, transform_path=None) -> list[dict]:
-    return bench_rows(
-        BenchConfig(
-            schedule=[50, 100, 200, 400, 700, 1000],
-            out="",
-            seed=900,
-            shape=shape,
-            dims=3,
-            points=10_000,
-            gen_seed=901,
-            probes=200,
-            ref_dirs=4000,
-            transform_path=transform_path,
-        )
-    )
+    argv = [
+        "bench", "--schedule", "50,100,200,400,700,1000", "--out", "unused.csv",
+        "--seed", "900", "--shape", shape, "--dims", "3", "--points", "10000",
+        "--gen-seed", "901", "--probes", "200", "--ref-dirs", "4000",
+    ]
+    if transform_path is not None:
+        argv += ["--transform", transform_path]
+    return bench_rows(build_parser().parse_args(argv))
 
 
 def test_criterion_05_bench_error_curves_non_increasing(tmp_path):

@@ -4,18 +4,18 @@ import numpy as np
 import pytest
 
 from hullsketch import PointCloud, exact_extreme_points
-from hullsketch.cli import (
-    BenchConfig,
-    bench_rows,
-    main,
-)
-from hullsketch.io import read_matrix, read_points
+from hullsketch.cli import bench_rows, build_parser, main
+from hullsketch.io import read_matrix
 
 from oracles import monotone_chain_indices
 
 
 def run(argv):
     return main(argv)
+
+
+def bench_args(*argv):
+    return build_parser().parse_args(["bench", "--out", "unused.csv", *argv])
 
 
 def gen_simplex(tmp_path, n=200, seed=17, dims=2):
@@ -29,7 +29,7 @@ def gen_simplex(tmp_path, n=200, seed=17, dims=2):
 
 def test_gen_writes_points(tmp_path):
     path = gen_simplex(tmp_path, n=100)
-    pts = read_points(path)
+    pts = read_matrix(path)
     assert pts.shape == (100, 2)
     assert np.all(pts >= 0) and np.all(pts.sum(axis=1) <= 1 + 1e-12)
 
@@ -53,7 +53,7 @@ def test_sketch_outputs_and_oracle_subset(tmp_path):
     assert inner.shape[1] == 3  # x, y, curvature estimate
     assert summary["n_kept"] == inner.shape[0]
     # every kept point is one of the oracle extremes
-    pts = read_points(pts_path)
+    pts = read_matrix(pts_path)
     oracle = {tuple(np.round(pts[i], 12)) for i in exact_extreme_points(PointCloud(pts))}
     kept = {tuple(np.round(row[:2], 12)) for row in inner}
     assert kept <= oracle
@@ -139,7 +139,7 @@ def test_compress_ratios_match_hand_counts(tmp_path):
         "--seed", "2", "--beta", "0.05", "--out-prefix", str(tmp_path / "r"),
     ]) == 0
     ratios = json.loads((tmp_path / "r_ratios.json").read_text())
-    pts = read_points(pts_path)
+    pts = read_matrix(pts_path)
     true_count = len(monotone_chain_indices(pts))
     assert ratios["true_vertices"] == true_count
     kept = read_matrix(tmp_path / "r_vertices.csv").shape[0]
@@ -156,7 +156,7 @@ def test_compress_hyperplanes_writes_constraints(tmp_path):
     ]) == 0
     hs = read_matrix(tmp_path / "h_halfspaces.csv")
     assert 3 <= hs.shape[0] < 100
-    pts = read_points(pts_path)
+    pts = read_matrix(pts_path)
     assert (pts @ hs[:, :2].T - hs[:, 2]).max() <= 1e-9
 
 
@@ -219,8 +219,8 @@ def test_bench_single_entry_matches_sketch_metrics(tmp_path):
         "--seed", "6", "--out-prefix", str(tmp_path / "sk"),
     ]) == 0
     summary = json.loads((tmp_path / "sk_summary.json").read_text())
-    rows = bench_rows(BenchConfig(
-        schedule=[120], out="", seed=6, points_path=str(pts_path), oracle_cap=2000,
+    rows = bench_rows(bench_args(
+        "--schedule", "120", "--seed", "6", "--in", str(pts_path), "--oracle-cap", "2000",
     ))
     assert len(rows) == 1
     assert rows[0]["n_dirs"] == 120
@@ -230,10 +230,10 @@ def test_bench_single_entry_matches_sketch_metrics(tmp_path):
 
 def test_bench_nested_prefix_reproduces_standalone_rows(tmp_path):
     pts_path = gen_simplex(tmp_path, n=200, seed=61)
-    common = dict(points_path=str(pts_path), seed=8, oracle_cap=2000, out="")
-    nested = bench_rows(BenchConfig(schedule=[40, 90, 160], **common))
+    common = ("--in", str(pts_path), "--seed", "8", "--oracle-cap", "2000")
+    nested = bench_rows(bench_args("--schedule", "40,90,160", *common))
     for m, row in zip((40, 90, 160), nested):
-        alone = bench_rows(BenchConfig(schedule=[m], **common))[0]
+        alone = bench_rows(bench_args("--schedule", str(m), *common))[0]
         assert alone == row
 
 
@@ -284,3 +284,69 @@ def test_exit_code_numerical_failure(tmp_path):
         "--halfspaces", str(hs), "--out", str(tmp_path / "r.json"),
     ])
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--shape", "cube", "--dims", "3", "--points", "10", "--out", "{dir}"],
+    ["sketch", "--in", "{dir}", "--dirs", "10", "--out-prefix", "{dir}/x"],
+    ["bench", "--in", "{pts}", "--schedule", "10", "--out", "{dir}"],
+])
+def test_os_error_exits_one_without_traceback(tmp_path, capsys, argv):
+    pts_path = gen_simplex(tmp_path)
+    argv = [a.format(dir=tmp_path, pts=pts_path) for a in argv]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("beta", ["nan", "inf", "-1"])
+def test_compress_rejects_beta_not_finite_and_nonnegative(tmp_path, capsys, beta):
+    pts_path = gen_simplex(tmp_path)
+    assert run([
+        "compress", "--in", str(pts_path), "--beta", beta, "--out-prefix", str(tmp_path / "c"),
+    ]) == 1
+    assert "beta must be finite and nonnegative" in capsys.readouterr().err
+    assert not (tmp_path / "c_clusters.json").exists()
+
+
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_error_rejects_oracle_cap_below_one(tmp_path, capsys, cap):
+    pts_path = gen_simplex(tmp_path, n=60, seed=43)
+    assert run([
+        "sketch", "--in", str(pts_path), "--dirs", "50", "--out-prefix", str(tmp_path / "e"),
+    ]) == 0
+    assert run([
+        "error", "--in", str(pts_path), "--inner", str(tmp_path / "e_inner.csv"),
+        "--halfspaces", str(tmp_path / "e_halfspaces.csv"), "--oracle-cap", cap,
+        "--out", str(tmp_path / "r.json"),
+    ]) == 1
+    assert "oracle-cap must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("shape,seed", [("cube", 8), ("simplex", 9)])
+def test_bench_outer_error_equals_error_command(tmp_path, shape, seed):
+    # sketch -> error and bench take the same directions, probes and reference
+    # polytope (the whole cloud), so their outer errors must agree exactly.
+    pts_path = tmp_path / "pts.csv"
+    assert run([
+        "gen", "--shape", shape, "--dims", "3", "--points", "3000",
+        "--seed", str(seed), "--out", str(pts_path),
+    ]) == 0
+    assert run([
+        "sketch", "--in", str(pts_path), "--dirs", "200", "--seed", str(seed),
+        "--out-prefix", str(tmp_path / "s"),
+    ]) == 0
+    out = tmp_path / "report.json"
+    assert run([
+        "error", "--in", str(pts_path), "--inner", str(tmp_path / "s_inner.csv"),
+        "--halfspaces", str(tmp_path / "s_halfspaces.csv"), "--probes", "30",
+        "--seed", str(seed), "--oracle-cap", "200", "--out", str(out),
+    ]) == 0
+    rows = bench_rows(bench_args(
+        "--in", str(pts_path), "--schedule", "200", "--probes", "30",
+        "--seed", str(seed), "--ref-dirs", "200",
+    ))
+    report = json.loads(out.read_text())
+    assert rows[0]["method"] == report["outer_method"] == "support-gap-estimate"
+    assert rows[0]["outer_error"] == report["outer_error"]

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from hullsketch import (
     ConvergenceError,
-    Halfspace,
     PointCloud,
     VertexPolytope,
     exact_extreme_points,
@@ -212,14 +211,6 @@ def test_support_value_matches_support_op():
     d = rng.standard_normal(4)
     _, val = support(PointCloud(pts), d)
     assert support_value(VertexPolytope(pts), d) == val
-
-
-def test_halfspace_validation():
-    h = Halfspace(np.array([1.0, 0.0]), 2.0, support_index=3)
-    assert h.contains([1.5, 10.0])
-    assert not h.contains([2.5, 0.0])
-    with pytest.raises(ValueError):
-        Halfspace(np.array([1.0, 1.0]), 0.0)  # not unit length
 
 
 def test_pointcloud_validation():

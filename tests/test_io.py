@@ -7,10 +7,8 @@ from hullsketch.io import (
     CsvFormatError,
     read_halfspaces,
     read_matrix,
-    read_points,
     write_halfspaces,
     write_matrix,
-    write_points,
 )
 
 
@@ -18,8 +16,8 @@ def test_round_trip_bitwise(tmp_path):
     rng = np.random.default_rng(1)
     pts = rng.standard_normal((100, 5)) * 1e3
     path = tmp_path / "pts.csv"
-    write_points(path, pts)
-    assert np.array_equal(read_points(path), pts)
+    write_matrix(path, pts)
+    assert np.array_equal(read_matrix(path), pts)
 
 
 @settings(max_examples=25, deadline=None)
@@ -39,7 +37,7 @@ def test_round_trip_property(tmp_path_factory, data):
 def test_header_and_crlf(tmp_path):
     path = tmp_path / "pts.csv"
     path.write_bytes(b"# x,y header\r\n1.5,2.5\r\n-3.25,4\r\n")
-    data = read_points(path)
+    data = read_matrix(path)
     assert data.tolist() == [[1.5, 2.5], [-3.25, 4.0]]
 
 
@@ -47,26 +45,26 @@ def test_ragged_row_error_carries_line_number(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("1,2,3,4,5\n1,2,3,4,5\n1,2,3,4\n")
     with pytest.raises(CsvFormatError, match="line 3"):
-        read_points(path)
+        read_matrix(path)
 
 
 def test_non_numeric_field_located(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("1,2\n3,oops\n")
     with pytest.raises(CsvFormatError, match="line 2"):
-        read_points(path)
+        read_matrix(path)
 
 
 def test_empty_file_rejected(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("# only a header\n")
     with pytest.raises(CsvFormatError, match="no data"):
-        read_points(path)
+        read_matrix(path)
 
 
 def test_missing_file(tmp_path):
     with pytest.raises(FileNotFoundError):
-        read_points(tmp_path / "nope.csv")
+        read_matrix(tmp_path / "nope.csv")
 
 
 def test_halfspace_column_layout(tmp_path):
@@ -84,14 +82,3 @@ def test_halfspace_column_layout(tmp_path):
 def test_halfspace_row_mismatch(tmp_path):
     with pytest.raises(ValueError):
         write_halfspaces(tmp_path / "x.csv", np.eye(2), np.ones(3))
-
-
-def test_direction_round_trip(tmp_path):
-    from hullsketch import sample_uniform
-    from hullsketch.io import read_directions, write_directions
-
-    ds = sample_uniform(50, 3, seed=9)
-    path = tmp_path / "dirs.csv"
-    write_directions(path, ds)
-    back = read_directions(path, seed=9)
-    assert np.array_equal(back.directions, ds.directions)
