@@ -4,13 +4,17 @@ Conventions: curvature parameters (``k``, ``omega``) are *relative*, i.e.
 fractions of the full spherical measure in [0, 1].  Direction-count formulas
 are evaluated in log space so they stay usable when the curvature targets
 drop to 1e-17 and below.
+
+``scipy.special.gammaln`` is imported inside ``sphere_surface_measure``, so
+importing this module (which every CLI stage does) loads no scipy; keep
+any new scipy import function-local for the same reason.  ``math.lgamma``
+is not a drop-in replacement: it differs from ``gammaln(n / 2)`` in the
+last bit for some ``n``, which would change ``bounds`` output.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from scipy.special import gammaln
 
 __all__ = [
     "BoundQuery",
@@ -53,6 +57,8 @@ class BoundQuery:
 
 def sphere_surface_measure(n: int) -> float:
     """Surface measure of the unit sphere S^(n-1) in R^n."""
+    from scipy.special import gammaln
+
     if n < 1:
         raise ValueError("n must be >= 1")
     return math.exp(math.log(2.0) + (n / 2.0) * math.log(math.pi) - gammaln(n / 2.0))

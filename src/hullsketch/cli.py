@@ -105,6 +105,12 @@ def _read_inner_csv(path: str, dim: int) -> np.ndarray:
     )
 
 
+def _check_oracle_cap(args) -> None:
+    # A cap below 1 would silently skip the oracle rather than run it.
+    if args.oracle_cap < 1:
+        raise CliValidationError("oracle-cap must be >= 1")
+
+
 def _reference_extremes(
     cloud: PointCloud, seed: int, oracle_cap: int, ref_dirs: int
 ) -> tuple[VertexPolytope, str]:
@@ -210,6 +216,7 @@ def _sketch_from_json(path: str, cloud: PointCloud) -> CurvatureSketch:
 def cmd_compress(args) -> None:
     if not 0.0 <= args.beta < math.inf:  # a NaN or infinite beta would corrupt the JSON
         raise CliValidationError("beta must be finite and nonnegative")
+    _check_oracle_cap(args)
     t0 = time.perf_counter()
     cloud = PointCloud(read_matrix(args.points_path))
     if args.sketch_json is not None:
@@ -296,8 +303,7 @@ def cmd_compress(args) -> None:
 
 
 def cmd_error(args) -> None:
-    if args.oracle_cap < 1:
-        raise CliValidationError("oracle-cap must be >= 1")
+    _check_oracle_cap(args)
     cloud = PointCloud(read_matrix(args.points_path))
     kept = _read_inner_csv(args.inner, cloud.dim)
     normals, offsets = read_halfspaces(args.halfspaces)
@@ -398,6 +404,7 @@ def bench_rows(args) -> list[dict]:
     sequences rather than statistical trends.  The outer error is the one
     ``error`` reports for the same halfspaces and probes.
     """
+    _check_oracle_cap(args)
     schedule = args.schedule
     if len(schedule) == 0:
         raise CliValidationError("schedule must be nonempty")

@@ -1,10 +1,15 @@
-"""Reproducible sampling of finite direction sets on the unit sphere."""
+"""Reproducible sampling of finite direction sets on the unit sphere.
+
+``scipy.special`` is imported inside ``sample_uniform``, the one function
+that calls it, so importing the package loads only numpy and a CLI stage
+pays for scipy only when it samples.  Keep any new scipy import
+function-local for the same reason.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 __all__ = ["DirectionSet", "sample_uniform", "concat"]
 
@@ -63,6 +68,8 @@ def sample_uniform(m: int, n: int, seed: int) -> DirectionSet:
     outputs and prefixes are reproducible when ``m`` grows.  Bit-identical
     output for identical ``(m, n, seed)``.
     """
+    from scipy.special import ndtri
+
     if m < 1:
         raise ValueError("m must be >= 1")
     if n < 2:

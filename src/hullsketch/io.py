@@ -2,10 +2,15 @@
 
 Grammar: comma-separated decimal floats, optional comment/header lines
 starting with ``#``, LF or CRLF endings.  Values are written with 17
-significant digits so a write/read round trip is bitwise exact.
+significant digits so a write/read round trip is bitwise exact.  A path
+ending in ``.gz``, ``.bz2``, ``.xz`` or ``.lzma`` is written and read
+compressed, as ``np.savetxt``/``np.loadtxt`` do.
 """
 from __future__ import annotations
 
+import bz2
+import gzip
+import lzma
 import warnings
 from pathlib import Path
 
@@ -20,6 +25,12 @@ __all__ = [
 ]
 
 FLOAT_FORMAT = "%.17g"
+
+# Rows formatted per write: the text of one block is the only buffer.
+WRITE_BLOCK_ROWS = 8192
+
+# The suffixes np.loadtxt decompresses, so read_matrix reads what this writes.
+_OPENERS = {".gz": gzip.open, ".bz2": bz2.open, ".xz": lzma.open, ".lzma": lzma.open}
 
 
 class CsvFormatError(ValueError):
@@ -69,8 +80,19 @@ def read_matrix(path) -> np.ndarray:
 
 
 def write_matrix(path, data) -> None:
+    """Write a 2-d float array as CSV, ``FLOAT_FORMAT`` per field.
+
+    Each block of ``WRITE_BLOCK_ROWS`` rows is formatted by one ``%`` on a
+    repeated row template.  The bytes equal those of
+    ``np.savetxt(path, data, delimiter=",", fmt=FLOAT_FORMAT)``, which
+    formats and writes one row at a time.
+    """
     data = np.atleast_2d(np.asarray(data, dtype=np.float64))
-    np.savetxt(path, data, delimiter=",", fmt=FLOAT_FORMAT)
+    row = ",".join([FLOAT_FORMAT] * data.shape[1]) + "\n"
+    with _OPENERS.get(Path(path).suffix, open)(path, "wt") as fh:
+        for r0 in range(0, data.shape[0], WRITE_BLOCK_ROWS):
+            block = data[r0 : r0 + WRITE_BLOCK_ROWS]
+            fh.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
 
 
 def write_halfspaces(path, normals, offsets) -> None:

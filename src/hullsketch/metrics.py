@@ -6,6 +6,11 @@ In two dimensions the outer error is computed exactly by enumerating the
 constraint-intersection vertices; in higher dimensions it is estimated as
 the largest support-function gap over sampled probe directions, which for
 nested convex bodies converges to the Hausdorff distance as probes densify.
+
+``scipy.optimize`` is imported inside
+``support_under_constraints``, the only caller of ``linprog``, so only a
+run that solves a support LP pays for it.  Keep any new scipy import
+function-local for the same reason.
 """
 from __future__ import annotations
 
@@ -14,7 +19,6 @@ import warnings
 from dataclasses import dataclass, asdict
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .directions import DirectionSet
 from .geometry import VertexPolytope, project_onto_hull, support_value
@@ -142,6 +146,8 @@ def outer_hull_vertices_2d(outer: OuterHull, feas_tol: float = 1e-7) -> np.ndarr
 
 def support_under_constraints(outer: OuterHull, d) -> float:
     """Support function of a halfspace intersection: ``max d . x`` subject to it."""
+    from scipy.optimize import linprog
+
     d = np.asarray(d, dtype=np.float64)
     res = linprog(
         -d,

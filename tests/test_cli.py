@@ -322,6 +322,19 @@ def test_error_rejects_oracle_cap_below_one(tmp_path, capsys, cap):
         "--out", str(tmp_path / "r.json"),
     ]) == 1
     assert "oracle-cap must be >= 1" in capsys.readouterr().err
+    # compress and bench reject the same cap rather than skip the oracle
+    assert run([
+        "compress", "--in", str(pts_path), "--dirs", "50", "--oracle-cap", cap,
+        "--out-prefix", str(tmp_path / "c"),
+    ]) == 1
+    assert "oracle-cap must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "c_ratios.json").exists()
+    assert run([
+        "bench", "--in", str(pts_path), "--schedule", "10,20", "--oracle-cap", cap,
+        "--out", str(tmp_path / "b.csv"),
+    ]) == 1
+    assert "oracle-cap must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "b.csv").exists()
 
 
 @pytest.mark.parametrize("shape,seed", [("cube", 8), ("simplex", 9)])

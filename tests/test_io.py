@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from hullsketch.io import (
+    WRITE_BLOCK_ROWS,
     CsvFormatError,
     read_halfspaces,
     read_matrix,
@@ -32,6 +33,45 @@ def test_round_trip_property(tmp_path_factory, data):
     path = tmp_path_factory.mktemp("io") / "m.csv"
     write_matrix(path, data)
     assert np.array_equal(read_matrix(path), data)
+
+
+def _matrix_cases():
+    rng = np.random.default_rng(5)
+    b = WRITE_BLOCK_ROWS
+    special = np.array([
+        [-0.0, 5e-324, 1.7976931348623157e308],
+        [np.inf, -np.inf, np.nan],
+        [0.1, -2.5e-310, 1e22],
+    ])
+    return {
+        "1x1": np.array([[np.pi]]),
+        "one-column": rng.standard_normal((50, 1)),
+        "block-minus-one": rng.standard_normal((b - 1, 3)),
+        "block-plus-one": rng.standard_normal((b + 1, 3)) * 1e-9,
+        "two-blocks-plus-three": rng.standard_normal((2 * b + 3, 5)) * 1e9,
+        "special-values": special,
+        "strided-view": rng.standard_normal((40, 6))[::3, ::2],
+    }
+
+
+@pytest.mark.parametrize("name", list(_matrix_cases()))
+def test_write_matrix_bytes_equal_savetxt(tmp_path, name):
+    data = _matrix_cases()[name]
+    ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
+    write_matrix(ours, data)
+    np.savetxt(ref, data, delimiter=",", fmt="%.17g")
+    assert ours.read_bytes() == ref.read_bytes()
+
+
+def test_write_matrix_compressed_suffix_matches_savetxt(tmp_path):
+    import gzip
+
+    data = np.random.default_rng(6).standard_normal((30, 4))
+    ours, ref = tmp_path / "ours.csv.gz", tmp_path / "ref.csv.gz"
+    write_matrix(ours, data)
+    np.savetxt(ref, data, delimiter=",", fmt="%.17g")
+    assert gzip.decompress(ours.read_bytes()) == gzip.decompress(ref.read_bytes())
+    assert np.array_equal(read_matrix(ours), data)
 
 
 def test_header_and_crlf(tmp_path):
