@@ -597,6 +597,10 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # numpy's message names the array it could not allocate
+        detail = f" ({exc})" if str(exc) else ""
+        print(f"numerical failure: out of memory{detail}", file=sys.stderr)
+        return 2
     return 0
 
 

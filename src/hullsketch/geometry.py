@@ -2,7 +2,12 @@
 
 Support queries, projection of a point onto the convex hull of a vertex set
 (Wolfe-style min-norm point), Hausdorff distance between vertex polytopes,
-and a brute-force extreme-point oracle for desk-scale verification.
+and an exact extreme-point oracle for desk-scale verification.
+
+``scipy.spatial`` is imported inside ``_qhull_candidates``, the only
+caller of Qhull, so only a run that asks the oracle for extreme points
+pays for it.  Keep any new scipy import function-local for the same
+reason.
 
 All container types are immutable after construction (arrays are marked
 read-only), so they can be shared freely across threads.  Every operation
@@ -29,6 +34,12 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-9
+
+# Above this dimension Qhull stops paying for itself.  Measured on 1,000-2,000
+# points: in 6-d, Qhull took 0.2-1.8 s, and on a ball (most rows extreme) it
+# plus the certificates cost more than projecting every row (2.3 s); in 7-d
+# Qhull alone took 2.9 s on 1,000 simplex points, against 1.65 s.
+_QHULL_MAX_DIM = 5
 
 
 def _frozen_matrix(values, name: str) -> np.ndarray:
@@ -274,20 +285,54 @@ def hausdorff(p: VertexPolytope, q: VertexPolytope, tol: float = DEFAULT_TOL) ->
     return max(d_pq, d_qp)
 
 
+def _qhull_candidates(rows: np.ndarray) -> np.ndarray:
+    """Rows that Qhull reports as hull vertices or could not separate from a
+    facet; every row when Qhull is not used or rejects the input."""
+    n, dim = rows.shape
+    if not 2 <= dim <= _QHULL_MAX_DIM or n <= dim + 1:
+        return np.arange(n)
+    from scipy.spatial import ConvexHull, QhullError
+
+    # Passing options replaces scipy's default "Qx" for dim > 4, so it is
+    # restated; "Qc" makes Qhull list the points it found coplanar.
+    try:
+        hull = ConvexHull(rows, qhull_options="Qc Qx" if dim > 4 else "Qc")
+    except QhullError:  # flat input: the rows span fewer than dim dimensions
+        return np.arange(n)
+    return np.union1d(hull.vertices, hull.coplanar[:, 0])
+
+
 def exact_extreme_points(cloud: PointCloud, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Indices of the points of ``cloud`` that are extreme in its hull.
 
-    Brute-force oracle: a distinct row is extreme iff its distance to the
-    hull of all other distinct rows exceeds ``tol``; a repeated row is
-    reported once, by its smallest index (the sketch's tie-break).  Intended
-    for desk-scale clouds (roughly N <= 10^4); cost is one projection per
-    distinct row.
+    A distinct row is extreme iff its distance to the hull of all other
+    distinct rows exceeds ``tol``; a repeated row is reported once, by its
+    smallest index (the sketch's tie-break).
+
+    The rows are first centred on their bounding-box midpoint and scaled by
+    the power of two that brings their largest extent into [1/2, 1), so
+    ``tol`` is relative to the extent and the answer does not depend on the
+    units of the cloud.  For 2 <= dim <= 5 and more than dim + 1 distinct
+    rows, Qhull (Barber, Dobkin & Huhdanpaa, ACM TOMS 1996) proposes the
+    candidates: its hull vertices and the points it found coplanar with a
+    facet.  A row it puts strictly inside the hull cannot be extreme.  In
+    other dimensions, or on flat input that Qhull rejects, every row is a
+    candidate.  Each candidate is certified by one Wolfe projection onto the
+    other distinct rows, so a false vertex from Qhull is never reported.
+
+    Cost: one projection per candidate, each O(N * dim) per Wolfe
+    iteration, plus Qhull's own, which grows steeply with dim and above
+    5-d can exceed that of projecting every row (hence the cap).  Intended
+    for desk-scale clouds (roughly N <= 10^4).
     """
     rows, first = np.unique(cloud.points, axis=0, return_index=True)
     if len(rows) == 1:
         return first.astype(np.int64)
+    lo, hi = rows.min(axis=0), rows.max(axis=0)
+    _, exponent = np.frexp(np.max(hi - lo))
+    rows = np.ldexp(rows - (lo + hi) / 2, -exponent)
     out = []
-    for i in range(len(rows)):
+    for i in _qhull_candidates(rows):
         others = VertexPolytope(np.delete(rows, i, axis=0))
         if project_onto_hull(rows[i], others, tol=tol).distance > tol:
             out.append(first[i])

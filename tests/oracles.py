@@ -52,6 +52,48 @@ def naive_sketch_counts(points: np.ndarray, directions: np.ndarray) -> np.ndarra
     return counts
 
 
+def lp_extreme_indices(points: np.ndarray, tol: float = 1e-8) -> set[int]:
+    """Extreme rows by linear programming, smallest index per repeated row.
+
+    Row i is extreme iff it is not a convex combination of the rows that
+    differ from it: the LP ``min sum(s+ + s-)`` over ``lam >= 0``,
+    ``sum(lam) = 1``, ``others.T @ lam + s+ - s- = x_i`` gives the L1
+    distance from x_i to their hull, compared with ``tol`` times the
+    cloud's largest extent.
+    """
+    from scipy.optimize import linprog
+
+    pts = np.asarray(points, dtype=float)
+    n, dim = pts.shape
+    extent = float(np.max(pts.max(axis=0) - pts.min(axis=0)))
+    if extent == 0.0:
+        return {0}
+    pts = (pts - pts.min(axis=0)) / extent
+    out = set()
+    for i in range(n):
+        same = np.all(pts == pts[i], axis=1)
+        if np.argmax(same) < i:  # a copy with a smaller index speaks for this row
+            continue
+        others = pts[~same]
+        m = len(others)
+        cost = np.concatenate([np.zeros(m), np.ones(2 * dim)])
+        a_eq = np.zeros((dim + 1, m + 2 * dim))
+        a_eq[:dim, :m] = others.T
+        a_eq[:dim, m:m + dim] = np.eye(dim)
+        a_eq[:dim, m + dim:] = -np.eye(dim)
+        a_eq[dim, :m] = 1.0
+        b_eq = np.concatenate([pts[i], [1.0]])
+        res = linprog(
+            cost, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs",
+            options={"primal_feasibility_tolerance": 1e-10,
+                     "dual_feasibility_tolerance": 1e-10},
+        )
+        assert res.status == 0, res.message
+        if res.fun > tol:
+            out.add(i)
+    return out
+
+
 def hull_polygon_ccw(points: np.ndarray) -> list[int]:
     """2-d hull vertex indices in counter-clockwise polygon order."""
     idx = monotone_chain_indices(points)

@@ -300,6 +300,23 @@ def test_os_error_exits_one_without_traceback(tmp_path, capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("message", ["", "Unable to allocate 36.5 GiB for an array"])
+def test_memory_error_exits_two_without_traceback(tmp_path, capsys, monkeypatch, message):
+    def exhausted(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr("hullsketch.compression._angular_components", exhausted)
+    pts_path = gen_simplex(tmp_path)
+    assert run([
+        "compress", "--in", str(pts_path), "--dirs", "100", "--alpha", "0", "--beta", "0",
+        "--hyperplanes", "--out-prefix", str(tmp_path / "m"),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: out of memory")
+    assert message in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 @pytest.mark.parametrize("beta", ["nan", "inf", "-1"])
 def test_compress_rejects_beta_not_finite_and_nonnegative(tmp_path, capsys, beta):
     pts_path = gen_simplex(tmp_path)

@@ -7,16 +7,20 @@ from hypothesis import given, settings, strategies as st
 from hullsketch import (
     ConvergenceError,
     PointCloud,
+    ShapeSpec,
     VertexPolytope,
     exact_extreme_points,
+    generate,
+    geometry,
     hausdorff,
     min_norm_point,
     project_onto_hull,
     support,
     support_value,
 )
+from hullsketch.datagen import SHAPE_KINDS
 
-from oracles import grid_min_distance, monotone_chain_indices
+from oracles import grid_min_distance, lp_extreme_indices, monotone_chain_indices
 
 SQUARE = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
 TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -196,6 +200,84 @@ def test_exact_extreme_invariant_to_interior_points():
         assert project_onto_hull(f, hull).distance <= 1e-9
     grown = set(exact_extreme_points(PointCloud(np.vstack([pts, fillers]))).tolist())
     assert grown == base
+
+
+def _grid(side, dim):
+    axes = np.meshgrid(*[np.arange(float(side))] * dim, indexing="ij")
+    return np.stack(axes, axis=-1).reshape(-1, dim)
+
+
+SCALE_CLOUDS = {
+    "ball3": lambda: generate(ShapeSpec(kind="ball", dim=3, count=300, seed=3)).points,
+    "grid3": lambda: _grid(4, 3),
+    "cube4": lambda: generate(ShapeSpec(kind="cube", dim=4, count=300, seed=4)).points,
+    "simplex5": lambda: generate(ShapeSpec(kind="simplex", dim=5, count=300, seed=5)).points,
+}
+
+
+@pytest.mark.parametrize("name", list(SCALE_CLOUDS))
+def test_exact_extreme_invariant_to_scale_and_offset(name):
+    pts = SCALE_CLOUDS[name]()
+    unit = exact_extreme_points(PointCloud(pts)).tolist()
+    for scaled in (pts * 2.0**-30, pts * 2.0**30, pts * 2.0**30 + 2.0**30, pts * 1e-9, pts * 1e9):
+        assert exact_extreme_points(PointCloud(scaled)).tolist() == unit
+
+
+def _pushed_off_facets(dim):
+    """Unit-cube corners, plus face centres pushed 1e-6 out of (extreme) or
+    into (not extreme) the cube."""
+    corners = _grid(2, dim)
+    out, into = np.full((dim, dim), 0.5), np.full((dim, dim), 0.5)
+    np.fill_diagonal(out, 1.0 + 1e-6)
+    np.fill_diagonal(into, 1e-6)
+    return np.vstack([corners, into, out])
+
+
+def _flat_3d():
+    rng = np.random.default_rng(31)
+    uv = rng.random((60, 2))
+    return np.column_stack([uv, uv @ [0.3, -1.2] + 0.5])
+
+
+def _with_duplicates(pts, seed):
+    rng = np.random.default_rng(seed)
+    return np.vstack([pts, pts[rng.choice(len(pts), size=len(pts) // 2)]])
+
+
+ORACLE_CLOUDS = {
+    **{
+        f"{kind}{dim}": (lambda kind=kind, dim=dim: generate(
+            ShapeSpec(kind=kind, dim=dim, count=70, seed=10 * dim + len(kind))
+        ).points)
+        for kind in SHAPE_KINDS
+        for dim in (2, 3, 4, 5)
+    },
+    "grid2-dup": lambda: _with_duplicates(_grid(5, 2), 1),
+    "grid3-dup": lambda: _with_duplicates(_grid(3, 3), 2),
+    "grid4-dup": lambda: _with_duplicates(_grid(3, 4), 3),
+    "flat3": _flat_3d,
+    "line1": lambda: np.random.default_rng(5).random((30, 1)),
+    "cube6": lambda: np.random.default_rng(6).random((80, 6)),
+    **{f"pushed{dim}": (lambda dim=dim: _pushed_off_facets(dim)) for dim in (2, 3, 4, 5)},
+}
+
+
+@pytest.mark.parametrize("name", list(ORACLE_CLOUDS))
+def test_exact_extreme_matches_lp_oracle_on_both_paths(name, monkeypatch):
+    pts = ORACLE_CLOUDS[name]()
+    want = lp_extreme_indices(pts)
+    assert set(exact_extreme_points(PointCloud(pts)).tolist()) == want
+    monkeypatch.setattr(geometry, "_QHULL_MAX_DIM", 0)  # every row a candidate
+    assert set(exact_extreme_points(PointCloud(pts)).tolist()) == want
+
+
+def test_pushed_and_flat_clouds_exercise_the_intended_paths():
+    from scipy.spatial import ConvexHull, QhullError
+
+    pts = _pushed_off_facets(3)
+    assert set(lp_extreme_indices(pts)) == set(range(8)) | {11, 12, 13}
+    with pytest.raises(QhullError):
+        ConvexHull(_flat_3d())
 
 
 def test_support_value_square():

@@ -31,15 +31,21 @@ CASES = {
         sample_uniform(10, 3, 0)
         assert_loaded(special=True, optimize=False)
     """,
+    "exact_extreme_points": """
+        import numpy as np
+        from hullsketch import PointCloud, exact_extreme_points
+        exact_extreme_points(PointCloud(np.random.default_rng(0).random((50, 3))))
+        assert_loaded(spatial=True, optimize=False)
+    """,
 }
 
 PRELUDE = """
 import sys
 
-def assert_loaded(scipy=None, special=None, optimize=None):
+def assert_loaded(scipy=None, special=None, optimize=None, spatial=None):
     names = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
     for want, prefix in ((scipy, "scipy"), (special, "scipy.special"),
-                         (optimize, "scipy.optimize")):
+                         (optimize, "scipy.optimize"), (spatial, "scipy.spatial")):
         if want is not None:
             assert (prefix in names) == want, (prefix, names[:10])
 """
