@@ -42,6 +42,7 @@ from .geometry import (
     support_value,
 )
 from .metrics import (
+    EmptyOuterHullError,
     ErrorReport,
     OuterErrorResult,
     UnboundedOuterHullError,
@@ -67,6 +68,7 @@ __all__ = [
     "CurvatureSketch",
     "DirectionBundle",
     "DirectionSet",
+    "EmptyOuterHullError",
     "ErrorReport",
     "InnerHull",
     "NoConstraintsSurvivedError",

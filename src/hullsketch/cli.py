@@ -40,10 +40,12 @@ from .geometry import (
 )
 from .io import read_halfspaces, read_matrix, write_halfspaces, write_matrix
 from .metrics import (
+    EmptyOuterHullError,
     ErrorReport,
     UnboundedOuterHullError,
     inner_error,
     outer_error,
+    probe_support,
 )
 from .sketch import CurvatureSketch, OuterHull, build_sketch, outer_hull, threshold_filter
 
@@ -425,12 +427,13 @@ def bench_rows(args) -> list[dict]:
     ref_dirs = args.ref_dirs if args.ref_dirs is not None else 4 * m_max
     reference, ref_tag = _reference_extremes(cloud, args.seed, args.oracle_cap, ref_dirs)
 
-    probes = None
+    hull = VertexPolytope(cloud.points)
+    probes = h_true = None
     if cloud.dim >= 3:
         if args.probes < 1:
             raise CliValidationError("bench needs probes >= 1 in dimension >= 3")
         probes = sample_uniform(args.probes, cloud.dim, args.seed + PROBE_SEED_OFFSET)
-    hull = VertexPolytope(cloud.points)
+        h_true = probe_support(hull, probes)
 
     rows = []
     for m in schedule:
@@ -452,7 +455,9 @@ def bench_rows(args) -> list[dict]:
             )
         else:
             inner_val = math.inf
-        outer = outer_error(outer_hull(sketch_m, cloud, prefix_dirs), hull, probes)
+        outer = outer_error(
+            outer_hull(sketch_m, cloud, prefix_dirs), hull, probes, h_true=h_true
+        )
 
         rows.append(
             {
@@ -591,6 +596,7 @@ def main(argv=None) -> int:
         return 1
     except (
         ConvergenceError,
+        EmptyOuterHullError,
         UnboundedOuterHullError,
         NoConstraintsSurvivedError,
         FloatingPointError,

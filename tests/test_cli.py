@@ -286,6 +286,21 @@ def test_exit_code_numerical_failure(tmp_path):
     assert code == 2
 
 
+def test_empty_halfspace_set_exits_two_without_traceback(tmp_path, capsys):
+    pts_path = gen_simplex(tmp_path, n=50, seed=82, dims=3)
+    # x <= -1 and x >= 1 have no common point
+    hs = tmp_path / "empty.csv"
+    hs.write_text("1,0,0,-1\n-1,0,0,-1\n0,1,0,1\n0,-1,0,1\n0,0,1,1\n0,0,-1,1\n")
+    inner = tmp_path / "inner.csv"
+    inner.write_text("0.1,0.1,0.1,1.0\n")
+    assert run([
+        "error", "--in", str(pts_path), "--inner", str(inner),
+        "--halfspaces", str(hs), "--probes", "5", "--out", str(tmp_path / "r.json"),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert err == "numerical failure: outer hull is empty\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["gen", "--shape", "cube", "--dims", "3", "--points", "10", "--out", "{dir}"],
     ["sketch", "--in", "{dir}", "--dirs", "10", "--out-prefix", "{dir}/x"],

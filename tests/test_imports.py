@@ -31,6 +31,22 @@ CASES = {
         sample_uniform(10, 3, 0)
         assert_loaded(special=True, optimize=False)
     """,
+    # 3-d outer error is a max over the halfspace intersection's vertices
+    "error_3d": """
+        run_error(3)
+        assert_loaded(spatial=True, optimize=False)
+    """,
+    "bench_3d": """
+        from hullsketch.cli import main
+        assert main(["bench", "--shape", "cube", "--dims", "3", "--points", "500",
+                     "--schedule", "20,50", "--probes", "10", "--out", sys.argv[1]]) == 0
+        assert_loaded(spatial=True, optimize=False)
+    """,
+    # in 4-d and up each probe still solves a support LP
+    "error_4d": """
+        run_error(4)
+        assert_loaded(optimize=True)
+    """,
     "exact_extreme_points": """
         import numpy as np
         from hullsketch import PointCloud, exact_extreme_points
@@ -48,6 +64,17 @@ def assert_loaded(scipy=None, special=None, optimize=None, spatial=None):
                          (optimize, "scipy.optimize"), (spatial, "scipy.spatial")):
         if want is not None:
             assert (prefix in names) == want, (prefix, names[:10])
+
+def run_error(dims):
+    # gen -> sketch -> error --probes 10, files next to sys.argv[1]
+    from hullsketch.cli import main
+    pts, prefix = sys.argv[1], sys.argv[1] + ".run"
+    assert main(["gen", "--shape", "cube", "--dims", str(dims), "--points", "300",
+                 "--out", pts]) == 0
+    assert main(["sketch", "--in", pts, "--dirs", "100", "--out-prefix", prefix]) == 0
+    assert main(["error", "--in", pts, "--inner", prefix + "_inner.csv",
+                 "--halfspaces", prefix + "_halfspaces.csv", "--probes", "10",
+                 "--out", prefix + ".json"]) == 0
 """
 
 

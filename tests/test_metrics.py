@@ -6,6 +6,7 @@ import pytest
 
 from hullsketch import (
     DirectionSet,
+    EmptyOuterHullError,
     ErrorReport,
     OuterHull,
     PointCloud,
@@ -19,11 +20,21 @@ from hullsketch import (
     sample_uniform,
     threshold_filter,
 )
-from hullsketch.metrics import EXACT_2D, SUPPORT_GAP, support_under_constraints
+from hullsketch import metrics
+from hullsketch.datagen import ShapeSpec, generate
+from hullsketch.metrics import (
+    EXACT_2D,
+    SUPPORT_GAP,
+    outer_support,
+    probe_support,
+    support_under_constraints,
+)
 
 from oracles import grid_min_distance
 
 SQUARE = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
+CUBE = np.array([[x, y, z] for x in (-1.0, 1.0) for y in (-1.0, 1.0) for z in (-1.0, 1.0)])
+SHEAR = np.array([[1.5, 0.4, 0.0], [0.0, 0.9, 0.25], [0.2, 0.0, 0.7]])
 
 
 def make_outer(normals, offsets):
@@ -157,6 +168,21 @@ def test_unbounded_lp_raises():
         outer_error(outer, VertexPolytope(np.eye(3)), probes)
 
 
+def test_unbounded_lp_raises_4d():
+    # 4-d goes straight to the LP, so this reaches its unbounded status
+    outer = make_outer(np.eye(4), np.ones(4))
+    probes = sample_uniform(8, 4, seed=8)
+    with pytest.raises(UnboundedOuterHullError):
+        outer_error(outer, VertexPolytope(np.eye(4)), probes)
+
+
+def test_empty_2d_raises():
+    # x <= -1 and x >= 1 bound the plane but share no point
+    outer = make_outer([[1.0, 0], [-1, 0], [0, 1], [0, -1]], [-1.0, -1, 1, 1])
+    with pytest.raises(EmptyOuterHullError):
+        outer_error(outer, VertexPolytope(SQUARE))
+
+
 def test_outer_vertices_2d_enumeration():
     verts = outer_hull_vertices_2d(rotated_square_outer())
     expect = {(2, 0), (0, 2), (-2, 0), (0, -2)}
@@ -207,3 +233,149 @@ def test_error_report_round_trip():
             inner_error=-1.0, outer_error=None, outer_method=None,
             n_probes=0, n_dirs_used=1, n_found=0, n_kept=0,
         )
+
+
+# --- 3-d outer support from the halfspace intersection's vertices ----------
+
+
+def count_lp_calls(monkeypatch):
+    calls = []
+
+    def counted(outer, d):
+        calls.append(1)
+        return support_under_constraints(outer, d)
+
+    monkeypatch.setattr(metrics, "support_under_constraints", counted)
+    return calls
+
+
+def shape_3d(kind, **kw):
+    return generate(ShapeSpec(kind=kind, dim=3, count=2000, seed=31, **kw)).points
+
+
+CLOUDS_3D = {
+    "cube": lambda: shape_3d("cube"),
+    "ball": lambda: shape_3d("ball"),
+    "sheared-simplex": lambda: shape_3d("simplex", transform=SHEAR),
+    # eight corners won by 400 directions: about 50 planes through each vertex
+    "cube-corners": lambda: np.vstack([CUBE, 0.5 * CUBE]),
+    "cube*1e-9": lambda: shape_3d("cube") * 1e-9,
+    "cube*1e9": lambda: shape_3d("cube") * 1e9,
+    "cube+1e9": lambda: shape_3d("cube") + 1e9,
+    # thin clouds whose sketch planes are tilted: the outer hull stays thick
+    "cube, z*1e-6": lambda: shape_3d("cube") * [1, 1, 1e-6],
+    "cube, z*1e-9": lambda: shape_3d("cube") * [1, 1, 1e-9],
+}
+
+
+@pytest.mark.parametrize("name", list(CLOUDS_3D))
+def test_vertex_support_matches_lp(monkeypatch, name):
+    points = CLOUDS_3D[name]()
+    cloud, dirs = PointCloud(points), sample_uniform(400, 3, seed=34)
+    outer = outer_hull(build_sketch(cloud, dirs), cloud, dirs)
+    probes = sample_uniform(60, 3, seed=35)
+    calls = count_lp_calls(monkeypatch)
+    got = outer_support(outer, probes, points.mean(axis=0))
+    assert calls == []  # the vertex path, not one LP per probe
+    # HiGHS's absolute tolerances (1e-7) exceed a cloud at 1e-9 scale, so the
+    # reference LP runs in units of a power of two near the cloud's extent;
+    # dividing the offsets by it is exact, so the halfspaces are the same.
+    unit = 2.0 ** round(math.log2(np.ptp(points)))
+    unit_outer = make_outer(outer.normals, outer.offsets / unit)
+    want = unit * np.array(
+        [support_under_constraints(unit_outer, d) for d in probes.directions]
+    )
+    # the largest absolute coordinate: a cloud offset by 1e9 is only given to eps * 1e9
+    extent = np.abs(points).max()
+    assert np.max(np.abs(got - want)) <= 1e-9 * extent
+    assert np.all(got >= probe_support(VertexPolytope(points), probes) - 1e-9 * extent)
+
+
+UNBOUNDED_NORMALS = {
+    # the z axis is a recession direction
+    "coplanar": [[1.0, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0], [0.6, 0.8, 0]],
+    # the origin is on a facet of the normals' hull
+    "closed-half-space": [[1.0, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0], [0, 0, 1], [0.6, 0, 0.8]],
+    "open-half-space": [[0.6, 0, 0.8], [-0.6, 0, 0.8], [0, 0.6, 0.8], [0, -0.6, 0.8], [0, 0, 1]],
+}
+
+
+@pytest.mark.parametrize("rotation", range(4))
+@pytest.mark.parametrize("name", list(UNBOUNDED_NORMALS))
+def test_vertex_path_unbounded_raises(monkeypatch, name, rotation):
+    # Offsets large enough that the centroid is strictly inside, so the
+    # boundedness check runs before Qhull and no LP is solved.  Rotations put
+    # rounding noise on the origin's distance to the normals' hull.
+    def no_lp(outer, d):
+        raise AssertionError("LP called")
+
+    monkeypatch.setattr(metrics, "support_under_constraints", no_lp)
+    normals = np.array(UNBOUNDED_NORMALS[name])
+    if rotation:
+        q, _ = np.linalg.qr(np.random.default_rng(rotation).standard_normal((3, 3)))
+        normals = normals @ q.T
+    outer = make_outer(normals, np.full(len(normals), 10.0))
+    with pytest.raises(UnboundedOuterHullError):
+        outer_error(outer, VertexPolytope(CUBE), sample_uniform(20, 3, seed=36))
+
+
+def test_centroid_on_a_boundary_takes_the_lp(monkeypatch):
+    # the cube [-1, 1]^3 cut by x <= 0, a plane through the cube's centroid
+    normals = np.vstack([np.eye(3), -np.eye(3), [[1.0, 0, 0]]])
+    outer = make_outer(normals, [1.0, 1, 1, 1, 1, 1, 0])
+    probes = sample_uniform(30, 3, seed=37)
+    calls = count_lp_calls(monkeypatch)
+    got = outer_support(outer, probes, CUBE.mean(axis=0))
+    assert len(calls) == len(probes)
+    want = np.array([support_under_constraints(outer, d) for d in probes.directions])
+    assert np.array_equal(got, want)
+    res = outer_error(outer, VertexPolytope(CUBE), probes)
+    h_true = probe_support(VertexPolytope(CUBE), probes)
+    assert res.value == max(0.0, float(np.max(want - h_true)))
+
+
+def with_axes(dirs):
+    return DirectionSet(np.vstack([np.eye(3), -np.eye(3), dirs.directions]), seed=dirs.seed)
+
+
+@pytest.mark.parametrize("power", [20, 30, 40])
+def test_vertex_support_on_a_thin_outer_hull(monkeypatch, power):
+    # The axis directions put two planes on the faces of a slab 2^-power
+    # thick, so the outer hull itself is thin.  The LP is no reference here:
+    # HiGHS's absolute tolerances leave it up to 9e-8 off.  Multiplying z by
+    # 2^power is exact and makes the same halfspaces round, so Qhull's
+    # vertices in that frame are.
+    scale = np.array([1.0, 1.0, 2.0**-power])
+    points = shape_3d("cube") * scale
+    cloud, dirs = PointCloud(points), with_axes(sample_uniform(400, 3, seed=34))
+    outer = outer_hull(build_sketch(cloud, dirs), cloud, dirs)
+    probes = sample_uniform(60, 3, seed=35)
+    calls = count_lp_calls(monkeypatch)
+    got = outer_support(outer, probes, points.mean(axis=0))
+    assert calls == []
+    from scipy.spatial import HalfspaceIntersection
+
+    round_hull = HalfspaceIntersection(
+        np.column_stack([outer.normals * scale, -outer.offsets]), points.mean(axis=0) / scale
+    )
+    want = (round_hull.intersections * scale @ probes.directions.T).max(axis=0)
+    assert np.max(np.abs(got - want)) <= 1e-9 * np.abs(points).max()
+
+
+@pytest.mark.parametrize("depth", [1e-6, 1e-12])
+def test_interior_point_near_a_face(monkeypatch, depth):
+    # The interior point sits `depth` inside the plane most aligned with +x.
+    # No frame pulls in the one far dual point that leaves; at 1e-12 Qhull
+    # would merge away vertices (an error of 5e-3), so that case takes the LP.
+    points = shape_3d("cube")
+    cloud, dirs = PointCloud(points), sample_uniform(400, 3, seed=34)
+    outer = outer_hull(build_sketch(cloud, dirs), cloud, dirs)
+    i = np.argmax(outer.normals[:, 0])
+    centroid = points.mean(axis=0)
+    interior = centroid + (outer.offsets[i] - outer.normals[i] @ centroid - depth) * outer.normals[i]
+    probes = sample_uniform(60, 3, seed=35)
+    calls = count_lp_calls(monkeypatch)
+    got = outer_support(outer, probes, interior)
+    assert len(calls) == (len(probes) if depth < 1e-8 else 0)
+    want = np.array([support_under_constraints(outer, d) for d in probes.directions])
+    assert np.max(np.abs(got - want)) <= 1e-9 * np.abs(points).max()
