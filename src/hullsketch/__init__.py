@@ -20,9 +20,7 @@ from .bounds import (
 )
 from .compression import (
     ClusterMap,
-    DirectionBundle,
     NoConstraintsSurvivedError,
-    compression_ratios,
     direction_bundle,
     hyperplane_compress,
     vertex_compress,
@@ -66,7 +64,6 @@ __all__ = [
     "ClusterMap",
     "ConvergenceError",
     "CurvatureSketch",
-    "DirectionBundle",
     "DirectionSet",
     "EmptyOuterHullError",
     "ErrorReport",
@@ -83,7 +80,6 @@ __all__ = [
     "build_sketch",
     "cap_lower_bound",
     "chebyshev_bound",
-    "compression_ratios",
     "concat",
     "direction_bundle",
     "direction_count_bound",

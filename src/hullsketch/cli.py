@@ -23,13 +23,7 @@ from .bounds import (
     direction_count_bound,
     directions_for_inner_error,
 )
-from .compression import (
-    NoConstraintsSurvivedError,
-    compression_ratios,
-    direction_bundle,
-    hyperplane_compress,
-    vertex_compress,
-)
+from .compression import NoConstraintsSurvivedError, hyperplane_compress, vertex_compress
 from .datagen import SHAPE_KINDS, ShapeSpec, generate
 from .directions import sample_uniform
 from .geometry import (
@@ -199,20 +193,26 @@ def _sketch_from_json(path: str, cloud: PointCloud) -> CurvatureSketch:
     missing = [k for k in keys if not isinstance(payload, dict) or k not in payload]
     if missing:
         raise CliValidationError(f"{path}: sketch lacks {', '.join(missing)}")
+    # JSON integers only: `type(v) is int` refuses bools and floats such as 50.0
+    bad = [k for k in ("dim", "n_points", "n_dirs", "dirs_seed") if type(payload[k]) is not int]
+    bad += [
+        k for k in ("assignment", "counts")
+        if type(payload[k]) is not list or not set(map(type, payload[k])) <= {int}
+    ]
+    if bad:
+        raise CliValidationError(f"{path}: {', '.join(bad)} must be JSON integers")
     if payload["n_points"] != len(cloud) or payload["dim"] != cloud.dim:
         raise CliValidationError(f"{path}: sketch does not match the point file")
     dirs = sample_uniform(payload["n_dirs"], payload["dim"], payload["dirs_seed"])
     if payload["dirs_method"] != dirs.method:
         raise CliValidationError(f"{path}: dirs_method is not {dirs.method!r}")
-    assignment = np.asarray(payload["assignment"], dtype=np.int64)
-    if np.any((assignment < 0) | (assignment >= len(cloud))):
+    assignment = payload["assignment"]
+    if assignment and not 0 <= min(assignment) <= max(assignment) < len(cloud):
         raise CliValidationError(f"{path}: assignment indexes outside [0, {len(cloud)})")
-    return CurvatureSketch(
-        cloud=cloud,
-        dirs=dirs,
-        assignment=assignment,
-        counts=np.asarray(payload["counts"], dtype=np.int64),
-    )
+    sketch = CurvatureSketch(cloud, dirs, np.asarray(assignment, dtype=np.int64))
+    if not np.array_equal(sketch.counts, payload["counts"]):
+        raise CliValidationError(f"{path}: counts do not tally the assignment")
+    return sketch
 
 
 def cmd_compress(args) -> None:
@@ -227,7 +227,7 @@ def cmd_compress(args) -> None:
         dirs = sample_uniform(args.dirs, cloud.dim, args.seed)
         sketch = build_sketch(cloud, dirs)
     inner = threshold_filter(sketch, args.alpha, args.mode, args.seed + FILTER_SEED_OFFSET)
-    compressed, clusters = vertex_compress(inner, cloud, sketch, args.beta, args.order)
+    compressed, clusters = vertex_compress(inner, cloud, args.beta, args.order)
 
     _inner_csv(
         f"{args.out_prefix}_vertices.csv", compressed.select(cloud), compressed.curvatures
@@ -241,13 +241,9 @@ def cmd_compress(args) -> None:
 
     n_planes_out = None
     if args.hyperplanes:
-        bundle = direction_bundle(sketch, clusters)
         hull = hyperplane_compress(
-            cloud,
             sketch,
-            sketch.dirs,
             clusters,
-            bundle,
             inner_alpha=args.inner_alpha,
             inner_beta=args.inner_beta,
             merge_angle=args.merge_angle,
@@ -270,17 +266,13 @@ def cmd_compress(args) -> None:
         "plane_ratio": None,
     }
     if len(cloud) <= args.oracle_cap:
-        true_idx = exact_extreme_points(cloud)
-        true_v = int(true_idx.size)
+        true_v = int(exact_extreme_points(cloud).size)
         ratios_payload["true_vertices"] = true_v
+        ratios_payload["vertex_ratio"] = len(compressed) / true_v
         # In the plane the facet count of a polygon equals its vertex count.
         if cloud.dim == 2 and n_planes_out is not None:
-            vr, pr = compression_ratios(len(compressed), true_v, n_planes_out, true_v)
-            ratios_payload["plane_ratio"] = pr
             ratios_payload["true_planes"] = true_v
-        else:
-            vr, _ = compression_ratios(len(compressed), true_v)
-        ratios_payload["vertex_ratio"] = vr
+            ratios_payload["plane_ratio"] = n_planes_out / true_v
     _write_json(f"{args.out_prefix}_ratios.json", ratios_payload)
 
     summary = _summary_base(
@@ -306,16 +298,14 @@ def cmd_compress(args) -> None:
 
 def cmd_error(args) -> None:
     _check_oracle_cap(args)
+    if args.probes < 0:
+        raise CliValidationError("probes must be >= 0")
     cloud = PointCloud(read_matrix(args.points_path))
     kept = _read_inner_csv(args.inner, cloud.dim)
     normals, offsets = read_halfspaces(args.halfspaces)
     if normals.shape[1] != cloud.dim:
         raise CliValidationError("halfspace dimension does not match the points")
-    outer = OuterHull(
-        normals=normals,
-        offsets=offsets,
-        support_indices=np.full(len(offsets), -1, dtype=np.int64),
-    )
+    outer = OuterHull(normals=normals, offsets=offsets)
 
     if len(cloud) <= args.oracle_cap:
         oracle_idx = exact_extreme_points(cloud)
@@ -438,15 +428,11 @@ def bench_rows(args) -> list[dict]:
     rows = []
     for m in schedule:
         prefix_dirs = dirs.prefix(m)
-        assignment = full.assignment[:m]
-        counts = np.bincount(assignment, minlength=len(cloud))
-        sketch_m = CurvatureSketch(
-            cloud=cloud, dirs=prefix_dirs, assignment=assignment, counts=counts
-        )
+        sketch_m = CurvatureSketch(cloud, prefix_dirs, full.assignment[:m])
         inner_m = threshold_filter(
             sketch_m, args.alpha, args.mode, args.seed + FILTER_SEED_OFFSET
         )
-        n_found = int(np.count_nonzero(counts))
+        n_found = int(np.count_nonzero(sketch_m.counts))
         if len(inner_m) > 0:
             inner_val = inner_error(
                 reference,

@@ -25,16 +25,16 @@ from .sketch import (
 
 __all__ = [
     "ClusterMap",
-    "DirectionBundle",
     "NoConstraintsSurvivedError",
     "vertex_compress",
     "direction_bundle",
     "hyperplane_compress",
-    "compression_ratios",
 ]
 
 VERTEX_ORDERS = ("decreasing", "paper-increasing")
 HYPERPLANE_VARIANTS = ("recursive", "gamma-threshold")
+# Directions sampled for the recursive variant's sketch of each bundle.
+INNER_DIRS = 2048
 
 
 class NoConstraintsSurvivedError(RuntimeError):
@@ -67,25 +67,9 @@ class ClusterMap:
         return np.sort(np.concatenate(list(self.members.values())))
 
 
-@dataclass(frozen=True)
-class DirectionBundle:
-    """For each representative, the direction indices won by its cluster."""
-
-    per_representative: dict[int, np.ndarray]
-
-    def __post_init__(self):
-        frozen = {}
-        for rep, idx in self.per_representative.items():
-            arr = np.asarray(idx, dtype=np.int64).copy()
-            arr.setflags(write=False)
-            frozen[int(rep)] = arr
-        object.__setattr__(self, "per_representative", frozen)
-
-
 def vertex_compress(
     inner: InnerHull,
     cloud: PointCloud,
-    sketch: CurvatureSketch,
     beta: float,
     order: str = "decreasing",
 ) -> tuple[InnerHull, ClusterMap]:
@@ -144,17 +128,17 @@ def vertex_compress(
     return compressed, ClusterMap(representatives=rep_arr, members=members)
 
 
-def direction_bundle(sketch: CurvatureSketch, cluster_map: ClusterMap) -> DirectionBundle:
-    """Collect, per representative, the directions won by any cluster member."""
+def direction_bundle(sketch: CurvatureSketch, cluster_map: ClusterMap) -> dict[int, np.ndarray]:
+    """Map each representative to the indices of the directions won by any
+    member of its cluster."""
     rep_of = np.full(len(sketch.cloud), -1, dtype=np.int64)
     for rep, mem in cluster_map.members.items():
         rep_of[mem] = rep
     winner_rep = rep_of[sketch.assignment]
-    per_rep = {
+    return {
         int(rep): np.flatnonzero(winner_rep == rep).astype(np.int64)
         for rep in cluster_map.representatives
     }
-    return DirectionBundle(per_representative=per_rep)
 
 
 def _angular_components(dirs: np.ndarray, merge_angle: float) -> list[np.ndarray]:
@@ -184,66 +168,70 @@ def _angular_components(dirs: np.ndarray, merge_angle: float) -> list[np.ndarray
 
 
 def hyperplane_compress(
-    cloud: PointCloud,
     sketch: CurvatureSketch,
-    dirs: DirectionSet,
     cluster_map: ClusterMap,
-    bundle: DirectionBundle,
+    *,
     inner_alpha: float = 0.1,
     inner_beta: float = 0.0,
     merge_angle: float = np.pi / 36,
     variant: str = "recursive",
     gamma: float | None = None,
     seed: int = 0,
-    inner_dirs: int = 2048,
 ) -> OuterHull:
-    """Reduce the outer hull to a small set of merged supporting hyperplanes.
+    """Reduce the sketch's outer hull to a few merged supporting hyperplanes.
 
-    Recursive variant: each representative's direction bundle is treated as a
-    point cloud on the sphere and itself sketched, thresholded at
-    ``inner_alpha`` and radius-compressed at ``inner_beta``; the survivors are
-    the bundle's extreme spread (for a corner's normal fan these are the
-    adjacent facet normals).  When both inner parameters are zero the bundle
-    passes through unchanged: points of the unit sphere are all extreme in
-    their own hull, so the exact reduction is the identity there.
+    ``cluster_map`` is the vertex compression of the sketch's kept points;
+    each representative's bundle is the set of directions its cluster won
+    (:func:`direction_bundle`).
+
+    Recursive variant: each bundle is treated as a point cloud on the sphere
+    and itself sketched with ``INNER_DIRS`` directions drawn from ``seed``,
+    thresholded at ``inner_alpha`` and radius-compressed at ``inner_beta``;
+    the survivors are the bundle's extreme spread (for a corner's normal fan
+    these are the adjacent facet normals).  When both inner parameters are
+    zero the bundle passes through unchanged: points of the unit sphere are
+    all extreme in their own hull, so the exact reduction is the identity
+    there.
 
     Gamma-threshold variant: a direction survives iff three distinct
     representatives have pairwise support-value differences below ``gamma``
     under it.
 
     Survivors are then merged by single-linkage at ``merge_angle`` (each
-    cluster replaced by the renormalised mean of its members) and the outer
-    hull is rebuilt from the merged directions against the original cloud.
-    The result may be unbounded when few constraints survive; that is
+    cluster replaced by the renormalised mean of its members) and the result
+    is :func:`outer_hull` of the merged directions against the sketch's
+    cloud.  It may be unbounded when few constraints survive; that is
     reported, not raised.
     """
     if not 0.0 < merge_angle < np.pi:
         raise ValueError("merge_angle must lie in (0, pi)")
     if variant not in HYPERPLANE_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
+    if not 0.0 <= inner_beta < np.inf:
+        raise ValueError("inner_beta must be finite and nonnegative")
+    cloud, dirs = sketch.cloud, sketch.dirs
 
     if variant == "recursive":
+        bundle = direction_bundle(sketch, cluster_map)
         groups: list[np.ndarray] = []
         weights: list[int] = []
         inner_set = None
         for rep in cluster_map.representatives:
-            f_v = bundle.per_representative.get(int(rep))
-            if f_v is None or f_v.size == 0:
+            f_v = bundle[int(rep)]
+            if f_v.size == 0:
                 continue
             if inner_alpha == 0.0 and inner_beta == 0.0:
                 survivors = f_v
             else:
                 sub_cloud = PointCloud(dirs.directions[f_v])
                 if inner_set is None:
-                    inner_set = sample_uniform(inner_dirs, cloud.dim, seed)
+                    inner_set = sample_uniform(INNER_DIRS, cloud.dim, seed)
                 sub_sketch = build_sketch(sub_cloud, inner_set)
                 sub_inner = threshold_filter(sub_sketch, inner_alpha, "hard")
                 if len(sub_inner) == 0:
                     continue
                 if inner_beta > 0.0:
-                    sub_inner, _ = vertex_compress(
-                        sub_inner, sub_cloud, sub_sketch, inner_beta
-                    )
+                    sub_inner, _ = vertex_compress(sub_inner, sub_cloud, inner_beta)
                 survivors = f_v[sub_inner.kept_indices]
             groups.append(survivors)
             weights.append(int(f_v.size))
@@ -253,8 +241,8 @@ def hyperplane_compress(
         else:
             surviving = np.array([], dtype=np.int64)
     else:
-        if gamma is None or gamma <= 0:
-            raise ValueError("gamma-threshold variant needs a positive gamma")
+        if gamma is None or not 0.0 < gamma < np.inf:
+            raise ValueError("gamma-threshold variant needs a finite positive gamma")
         reps = cluster_map.representatives
         if reps.size >= 3:
             vals = np.sort(cloud.points[reps] @ dirs.directions.T, axis=0)
@@ -276,32 +264,4 @@ def hyperplane_compress(
         else:
             merged.append(mean / norm)
     final_dirs = DirectionSet(np.asarray(merged), seed=dirs.seed, method=dirs.method)
-
-    final_sketch = build_sketch(cloud, final_dirs)
-    raw = outer_hull(final_sketch, cloud, final_dirs)
-    return OuterHull(
-        normals=raw.normals,
-        offsets=raw.offsets,
-        support_indices=raw.support_indices,
-        source="compressed",
-    )
-
-
-def compression_ratios(
-    found_vertices: int,
-    true_vertices: int,
-    found_planes: int | None = None,
-    true_planes: int | None = None,
-) -> tuple[float, float | None]:
-    """Found-over-true counts for vertices and (optionally) hyperplanes."""
-    if true_vertices <= 0:
-        raise ValueError("true vertex count must be positive")
-    vertex_ratio = found_vertices / true_vertices
-    plane_ratio = None
-    if found_planes is not None or true_planes is not None:
-        if true_planes is None or found_planes is None:
-            raise ValueError("both plane counts are required for the plane ratio")
-        if true_planes <= 0:
-            raise ValueError("true plane count must be positive")
-        plane_ratio = found_planes / true_planes
-    return vertex_ratio, plane_ratio
+    return outer_hull(build_sketch(cloud, final_dirs), cloud, final_dirs)

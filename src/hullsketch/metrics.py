@@ -28,6 +28,7 @@ for the same reason.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass, asdict
 
@@ -251,11 +252,19 @@ def outer_support(outer: OuterHull, probes: DirectionSet, interior: np.ndarray) 
     call around ``interior``.  When ``interior`` is not strictly inside every
     halfspace, or so near one face that Qhull's roundoff would eat half the
     digits, and in 4-d and up, each probe solves one support LP instead.
+    HiGHS's tolerances are absolute (1e-7), so the LPs run in coordinates
+    centred on ``interior`` and divided by the power of two that brings the
+    largest slack into [1/2, 1): the result does not depend on the cloud's
+    units or position.
     """
     verts = _outer_vertices(outer, interior) if outer.dim == 3 else None
     if verts is not None:
         return probe_support(VertexPolytope(verts), probes)
-    return np.array([support_under_constraints(outer, d) for d in probes.directions])
+    slack = outer.offsets - outer.normals @ interior
+    unit = math.ldexp(1.0, math.frexp(float(np.abs(slack).max()))[1])
+    centred = OuterHull(normals=outer.normals, offsets=slack / unit)
+    h = np.array([support_under_constraints(centred, d) for d in probes.directions])
+    return probes.directions @ interior + unit * h
 
 
 def outer_error(

@@ -8,7 +8,7 @@ direction.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,45 +33,40 @@ _CHUNK_DIRS = 256
 
 @dataclass(frozen=True)
 class CurvatureSketch:
-    """Per-direction winners and per-point win counts for one (cloud, dirs) pair."""
+    """The support winner of every direction, for one (cloud, dirs) pair.
+
+    ``counts`` is ``bincount(assignment)``, computed here rather than passed.
+    """
 
     cloud: PointCloud
     dirs: DirectionSet
     assignment: np.ndarray  # winner index per direction, length M
-    counts: np.ndarray  # wins per point, length N
-    scores_formed: int | None = None  # scores computed, set by build_sketch
+    counts: np.ndarray = field(init=False)  # wins per point, length N
+    scores_formed: int | None = field(default=None, kw_only=True)  # set by build_sketch
 
     def __post_init__(self):
         assignment = np.asarray(self.assignment, dtype=np.int64).copy()
-        counts = np.asarray(self.counts, dtype=np.int64).copy()
+        n = len(self.cloud)
         if assignment.shape != (len(self.dirs),):
             raise ValueError("assignment length must match the direction count")
-        if counts.shape != (len(self.cloud),):
-            raise ValueError("counts length must match the point count")
-        if counts.sum() != len(self.dirs):
-            raise ValueError("counts must sum to the direction count")
-        recount = np.bincount(assignment, minlength=len(self.cloud))
-        if not np.array_equal(recount, counts):
-            raise ValueError("counts must tally the assignment")
+        if assignment.size and not 0 <= assignment.min() <= assignment.max() < n:
+            raise ValueError(f"assignment indexes outside [0, {n})")
+        counts = np.bincount(assignment, minlength=n)
         assignment.setflags(write=False)
         counts.setflags(write=False)
         object.__setattr__(self, "assignment", assignment)
         object.__setattr__(self, "counts", counts)
 
-    @property
-    def d_count(self) -> int:
-        return len(self.dirs)
-
     def curvatures(self) -> np.ndarray:
         """Relative curvature estimate for every point: counts / |D|."""
-        return self.counts / float(self.d_count)
+        return self.counts / float(len(self.dirs))
 
     def to_dict(self) -> dict:
         """JSON-ready export of the sketch (schema is part of the public API)."""
         return {
             "dim": self.cloud.dim,
             "n_points": len(self.cloud),
-            "n_dirs": self.d_count,
+            "n_dirs": len(self.dirs),
             "counts": self.counts.tolist(),
             "assignment": self.assignment.tolist(),
             "dirs_seed": self.dirs.seed,
@@ -108,28 +103,24 @@ class InnerHull:
 
 @dataclass(frozen=True)
 class OuterHull:
-    """Intersection of supporting halfspaces ``normal . x <= offset``."""
+    """Intersection of the halfspaces ``normals[i] . x <= offsets[i]``."""
 
     normals: np.ndarray
     offsets: np.ndarray
-    support_indices: np.ndarray
-    source: str = "raw-sketch"
 
     def __post_init__(self):
         normals = np.asarray(self.normals, dtype=np.float64).copy()
         offsets = np.asarray(self.offsets, dtype=np.float64).copy()
-        sup = np.asarray(self.support_indices, dtype=np.int64).copy()
         if normals.ndim != 2 or normals.shape[0] < 1:
             raise ValueError("normals must be a nonempty (M, dim) array")
-        if offsets.shape != (normals.shape[0],) or sup.shape != offsets.shape:
-            raise ValueError("offsets/support_indices must align with normals")
+        if offsets.shape != (normals.shape[0],):
+            raise ValueError("offsets must align with normals")
         if np.any(np.abs(np.linalg.norm(normals, axis=1) - 1.0) > 1e-9):
             raise ValueError("all normals must be unit length")
-        for a in (normals, offsets, sup):
+        for a in (normals, offsets):
             a.setflags(write=False)
         object.__setattr__(self, "normals", normals)
         object.__setattr__(self, "offsets", offsets)
-        object.__setattr__(self, "support_indices", sup)
 
     @property
     def dim(self) -> int:
@@ -230,15 +221,14 @@ def build_sketch(cloud: PointCloud, dirs: DirectionSet) -> CurvatureSketch:
     if cloud.dim != dirs.dim:
         raise ValueError(f"dimension mismatch: cloud {cloud.dim}, dirs {dirs.dim}")
     assignment, formed = _support_winners(cloud.points, dirs.directions)
-    counts = np.bincount(assignment, minlength=len(cloud))
-    return CurvatureSketch(cloud, dirs, assignment, counts, scores_formed=formed)
+    return CurvatureSketch(cloud, dirs, assignment, scores_formed=formed)
 
 
 def relative_curvature(sketch: CurvatureSketch, v: int) -> float:
     """Fraction of directions won by point ``v`` (in [0, 1])."""
     if not 0 <= v < len(sketch.cloud):
         raise IndexError(f"point index {v} out of range")
-    return float(sketch.counts[v]) / sketch.d_count
+    return float(sketch.counts[v]) / len(sketch.dirs)
 
 
 def threshold_filter(
@@ -287,9 +277,4 @@ def outer_hull(
         raise ValueError("dirs do not match the sketch")
     winners = cloud.points[sketch.assignment]
     offsets = np.einsum("ij,ij->i", winners, dirs.directions)
-    return OuterHull(
-        normals=dirs.directions,
-        offsets=offsets,
-        support_indices=sketch.assignment,
-        source="raw-sketch",
-    )
+    return OuterHull(normals=dirs.directions, offsets=offsets)

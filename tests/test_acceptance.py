@@ -176,7 +176,7 @@ def test_criterion_06_vertex_compression_hausdorff_under_beta():
         sketch = build_sketch(cloud, dirs)
         inner = threshold_filter(sketch, 0.0)
         beta = float(rng.uniform(0.05, 0.6))
-        compressed, _ = vertex_compress(inner, cloud, sketch, beta)
+        compressed, _ = vertex_compress(inner, cloud, beta)
         dist = hausdorff(
             VertexPolytope(inner.select(cloud)), VertexPolytope(compressed.select(cloud))
         )

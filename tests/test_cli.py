@@ -132,6 +132,38 @@ def test_compress_rejects_sketch_json_assignment_out_of_range(tmp_path, capsys):
         assert "outside [0, 80)" in capsys.readouterr().err
 
 
+def moved_win(payload):
+    """Counts with one win moved to a point that won nothing: they still sum
+    to n_dirs, but no longer tally the assignment."""
+    counts = payload["counts"]
+    loser = counts.index(0)
+    counts[payload["assignment"][0]] -= 1
+    counts[loser] += 1
+    return counts
+
+
+@pytest.mark.parametrize("key, bad", [
+    ("n_dirs", "40"),
+    ("n_dirs", 40.0),
+    ("dim", True),
+    ("n_points", 80.0),
+    ("dirs_seed", 2.7),
+    ("assignment", lambda p: [p["assignment"][0] + 0.5, *p["assignment"][1:]]),
+    ("assignment", lambda p: [False, *p["assignment"][1:]]),
+    ("assignment", "0,1"),
+    ("counts", lambda p: [float(c) for c in p["counts"]]),
+    ("counts", moved_win),
+], ids=lambda v: getattr(v, "__name__", repr(v)))
+def test_compress_rejects_sketch_json_field_of_wrong_type_or_value(tmp_path, capsys, key, bad):
+    pts_path, payload = saved_sketch(tmp_path)
+    payload[key] = bad(payload) if callable(bad) else bad
+    assert compress_with(tmp_path, pts_path, payload) == 1
+    err = capsys.readouterr().err
+    message = "counts do not tally" if bad is moved_win else f"{key} must be JSON integers"
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
 def test_compress_ratios_match_hand_counts(tmp_path):
     pts_path = gen_simplex(tmp_path, n=120, seed=21)
     assert run([
@@ -340,6 +372,37 @@ def test_compress_rejects_beta_not_finite_and_nonnegative(tmp_path, capsys, beta
     ]) == 1
     assert "beta must be finite and nonnegative" in capsys.readouterr().err
     assert not (tmp_path / "c_clusters.json").exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--variant", "gamma-threshold", "--gamma", "nan"], "finite positive gamma"),
+    (["--variant", "gamma-threshold", "--gamma", "0"], "finite positive gamma"),
+    (["--inner-beta", "-1"], "inner_beta must be finite and nonnegative"),
+    (["--inner-beta", "nan"], "inner_beta must be finite and nonnegative"),
+])
+def test_compress_rejects_out_of_range_hyperplane_flags(tmp_path, capsys, flags, message):
+    pts_path = gen_simplex(tmp_path)
+    assert run([
+        "compress", "--in", str(pts_path), "--dirs", "100", "--hyperplanes", *flags,
+        "--out-prefix", str(tmp_path / "c"),
+    ]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "c_clusters.json").exists()
+
+
+def test_error_rejects_negative_probes(tmp_path, capsys):
+    pts_path = gen_simplex(tmp_path, n=60, seed=43, dims=3)
+    assert run([
+        "sketch", "--in", str(pts_path), "--dirs", "50", "--out-prefix", str(tmp_path / "e"),
+    ]) == 0
+    assert run([
+        "error", "--in", str(pts_path), "--inner", str(tmp_path / "e_inner.csv"),
+        "--halfspaces", str(tmp_path / "e_halfspaces.csv"), "--probes", "-5",
+        "--out", str(tmp_path / "r.json"),
+    ]) == 1
+    assert "probes must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
 
 
 @pytest.mark.parametrize("cap", ["0", "-5"])

@@ -9,7 +9,6 @@ from hullsketch import (
     PointCloud,
     VertexPolytope,
     build_sketch,
-    compression_ratios,
     direction_bundle,
     hausdorff,
     hyperplane_compress,
@@ -23,13 +22,13 @@ def crafted(points, counts, n_dirs, seed=0):
     cloud = PointCloud(points)
     dirs = sample_uniform(n_dirs, cloud.dim, seed)
     assignment = np.repeat(np.arange(len(counts)), counts)
-    sketch = CurvatureSketch(cloud=cloud, dirs=dirs, assignment=assignment, counts=np.asarray(counts))
+    sketch = CurvatureSketch(cloud=cloud, dirs=dirs, assignment=assignment)
     return cloud, sketch, threshold_filter(sketch, 0.0)
 
 
 def test_obvious_cluster_decreasing_order():
     cloud, sketch, inner = crafted([[0.0, 0.0], [0.01, 0.0], [1.0, 1.0]], [2, 1, 1], 4)
-    comp, cm = vertex_compress(inner, cloud, sketch, beta=0.1)
+    comp, cm = vertex_compress(inner, cloud, beta=0.1)
     assert comp.kept_indices.tolist() == [0, 2]  # highest-curvature point represents
     assert cm.members[0].tolist() == [0, 1]
     assert cm.members[2].tolist() == [2]
@@ -40,7 +39,7 @@ def test_obvious_cluster_decreasing_order():
 
 def test_obvious_cluster_paper_increasing_order():
     cloud, sketch, inner = crafted([[0.0, 0.0], [0.01, 0.0], [1.0, 1.0]], [2, 1, 1], 4)
-    comp, cm = vertex_compress(inner, cloud, sketch, beta=0.1, order="paper-increasing")
+    comp, cm = vertex_compress(inner, cloud, beta=0.1, order="paper-increasing")
     assert comp.kept_indices.tolist() == [1, 2]  # lowest-curvature point walks first
 
 
@@ -50,7 +49,7 @@ def test_beta_zero_is_identity():
     dirs = sample_uniform(300, 2, seed=2)
     sketch = build_sketch(cloud, dirs)
     inner = threshold_filter(sketch, 0.0)
-    comp, cm = vertex_compress(inner, cloud, sketch, beta=0.0)
+    comp, cm = vertex_compress(inner, cloud, beta=0.0)
     assert comp.kept_indices.tolist() == inner.kept_indices.tolist()
     for rep, members in cm.members.items():
         assert members.tolist() == [rep]
@@ -59,9 +58,9 @@ def test_beta_zero_is_identity():
 def test_negative_beta_rejected():
     cloud, sketch, inner = crafted([[0.0, 0.0], [1.0, 1.0]], [1, 1], 2)
     with pytest.raises(ValueError):
-        vertex_compress(inner, cloud, sketch, beta=-0.5)
+        vertex_compress(inner, cloud, beta=-0.5)
     with pytest.raises(ValueError):
-        vertex_compress(inner, cloud, sketch, beta=0.5, order="sideways")
+        vertex_compress(inner, cloud, beta=0.5, order="sideways")
 
 
 def test_cluster_map_partitions_inner_set():
@@ -70,7 +69,7 @@ def test_cluster_map_partitions_inner_set():
     dirs = sample_uniform(400, 3, seed=4)
     sketch = build_sketch(cloud, dirs)
     inner = threshold_filter(sketch, 0.0)
-    comp, cm = vertex_compress(inner, cloud, sketch, beta=0.4)
+    comp, cm = vertex_compress(inner, cloud, beta=0.4)
     covered = cm.covered_indices()
     assert covered.tolist() == sorted(inner.kept_indices.tolist())
     total = sum(len(v) for v in cm.members.values())
@@ -91,7 +90,7 @@ def test_hausdorff_under_beta_randomized():
         sketch = build_sketch(cloud, dirs)
         inner = threshold_filter(sketch, 0.0)
         beta = float(rng.uniform(0.05, 0.6))
-        comp, _ = vertex_compress(inner, cloud, sketch, beta)
+        comp, _ = vertex_compress(inner, cloud, beta)
         before = VertexPolytope(inner.select(cloud))
         after = VertexPolytope(comp.select(cloud))
         assert hausdorff(before, after) < beta
@@ -103,12 +102,12 @@ def test_direction_bundle_partitions_won_directions():
     dirs = sample_uniform(300, 2, seed=7)
     sketch = build_sketch(cloud, dirs)
     inner = threshold_filter(sketch, 0.0)
-    comp, cm = vertex_compress(inner, cloud, sketch, beta=0.5)
+    comp, cm = vertex_compress(inner, cloud, beta=0.5)
     bundle = direction_bundle(sketch, cm)
-    all_dirs = np.sort(np.concatenate(list(bundle.per_representative.values())))
+    all_dirs = np.sort(np.concatenate(list(bundle.values())))
     winners_kept = np.flatnonzero(np.isin(sketch.assignment, inner.kept_indices))
     assert all_dirs.tolist() == winners_kept.tolist()
-    sizes = sum(v.size for v in bundle.per_representative.values())
+    sizes = sum(v.size for v in bundle.values())
     assert sizes == all_dirs.size  # disjoint
 
 
@@ -116,9 +115,8 @@ def run_hyperplane(cloud, n_dirs, beta, seed, **kwargs):
     dirs = sample_uniform(n_dirs, cloud.dim, seed)
     sketch = build_sketch(cloud, dirs)
     inner = threshold_filter(sketch, 0.0)
-    comp, cm = vertex_compress(inner, cloud, sketch, beta)
-    bundle = direction_bundle(sketch, cm)
-    hull = hyperplane_compress(cloud, sketch, dirs, cm, bundle, **kwargs)
+    comp, cm = vertex_compress(inner, cloud, beta)
+    hull = hyperplane_compress(sketch, cm, **kwargs)
     return sketch, dirs, hull
 
 
@@ -128,7 +126,6 @@ def test_hyperplane_square_cloud_compresses():
     _, _, hull = run_hyperplane(cloud, 2000, beta=0.3, seed=9, inner_alpha=0.1)
     assert 3 <= len(hull) < 200  # far below the 2000 raw constraints
     assert bool(hull.contains(cloud.points, tol=1e-9).all())
-    assert hull.source == "compressed"
 
 
 def test_hyperplane_identity_limit_reproduces_raw_outer_hull():
@@ -170,13 +167,11 @@ def test_merge_angle_monotonicity():
     dirs = sample_uniform(500, 2, seed=13)
     sketch = build_sketch(cloud, dirs)
     inner = threshold_filter(sketch, 0.0)
-    comp, cm = vertex_compress(inner, cloud, sketch, beta=0.3)
-    bundle = direction_bundle(sketch, cm)
+    comp, cm = vertex_compress(inner, cloud, beta=0.3)
     counts = []
     for angle in (0.01, 0.05, 0.1, 0.3, 0.8, 1.5):
         hull = hyperplane_compress(
-            cloud, sketch, dirs, cm, bundle, inner_alpha=0.0, inner_beta=0.0,
-            merge_angle=angle,
+            sketch, cm, inner_alpha=0.0, inner_beta=0.0, merge_angle=angle,
         )
         counts.append(len(hull))
     assert all(b <= a for a, b in zip(counts, counts[1:]))
@@ -184,14 +179,17 @@ def test_merge_angle_monotonicity():
 
 def test_hyperplane_validation():
     cloud, sketch, inner = crafted([[0.0, 0.0], [1.0, 1.0]], [1, 1], 2)
-    comp, cm = vertex_compress(inner, cloud, sketch, beta=0.0)
-    bundle = direction_bundle(sketch, cm)
-    with pytest.raises(ValueError):
-        hyperplane_compress(cloud, sketch, sketch.dirs, cm, bundle, merge_angle=0.0)
-    with pytest.raises(ValueError):
-        hyperplane_compress(cloud, sketch, sketch.dirs, cm, bundle, variant="magic")
-    with pytest.raises(ValueError):
-        hyperplane_compress(cloud, sketch, sketch.dirs, cm, bundle, variant="gamma-threshold")
+    comp, cm = vertex_compress(inner, cloud, beta=0.0)
+    bad = [
+        {"merge_angle": 0.0},
+        {"variant": "magic"},
+        {"variant": "gamma-threshold"},
+        *({"variant": "gamma-threshold", "gamma": g} for g in (0.0, -1.0, math.nan, math.inf)),
+        *({"inner_beta": b} for b in (-1.0, math.nan, math.inf)),
+    ]
+    for kwargs in bad:
+        with pytest.raises(ValueError):
+            hyperplane_compress(sketch, cm, **kwargs)
 
 
 def hexagon_cloud():
@@ -217,12 +215,8 @@ def test_gamma_variant_matches_naive_criterion():
     dirs = sample_uniform(600, 2, seed=14)
     sketch = build_sketch(cloud, dirs)
     inner = threshold_filter(sketch, 0.0)
-    comp, cm = vertex_compress(inner, cloud, sketch, beta=0.0)
-    bundle = direction_bundle(sketch, cm)
-    hull = hyperplane_compress(
-        cloud, sketch, dirs, cm, bundle,
-        variant="gamma-threshold", gamma=0.6, merge_angle=1e-9,
-    )
+    comp, cm = vertex_compress(inner, cloud, beta=0.0)
+    hull = hyperplane_compress(sketch, cm, variant="gamma-threshold", gamma=0.6, merge_angle=1e-9)
     admitted = naive_gamma_admitted(
         cloud.points[cm.representatives], dirs.directions, 0.6
     )
@@ -239,29 +233,7 @@ def test_gamma_variant_too_tight_raises():
     dirs = sample_uniform(100, 2, seed=15)
     sketch = build_sketch(cloud, dirs)
     inner = threshold_filter(sketch, 0.0)
-    comp, cm = vertex_compress(inner, cloud, sketch, beta=0.0)
-    bundle = direction_bundle(sketch, cm)
+    comp, cm = vertex_compress(inner, cloud, beta=0.0)
     with pytest.raises(NoConstraintsSurvivedError):
-        hyperplane_compress(
-            cloud, sketch, dirs, cm, bundle, variant="gamma-threshold", gamma=1e-9
-        )
+        hyperplane_compress(sketch, cm, variant="gamma-threshold", gamma=1e-9)
 
-
-def test_compression_ratios_values():
-    vr, pr = compression_ratios(34, 300)
-    assert vr == pytest.approx(34 / 300)
-    assert pr is None
-    vr, _ = compression_ratios(29, 2495)
-    assert vr == pytest.approx(29 / 2495)
-    vr, pr = compression_ratios(10, 10, 5, 20)
-    assert vr == 1.0
-    assert pr == 0.25
-
-
-def test_compression_ratios_validation():
-    with pytest.raises(ValueError):
-        compression_ratios(5, 0)
-    with pytest.raises(ValueError):
-        compression_ratios(5, 10, 3, 0)
-    with pytest.raises(ValueError):
-        compression_ratios(5, 10, 3, None)

@@ -38,12 +38,7 @@ SHEAR = np.array([[1.5, 0.4, 0.0], [0.0, 0.9, 0.25], [0.2, 0.0, 0.7]])
 
 
 def make_outer(normals, offsets):
-    normals = np.asarray(normals, dtype=float)
-    return OuterHull(
-        normals=normals,
-        offsets=np.asarray(offsets, dtype=float),
-        support_indices=np.full(len(offsets), -1, dtype=np.int64),
-    )
+    return OuterHull(normals=normals, offsets=offsets)
 
 
 def rotated_square_outer():
@@ -379,3 +374,23 @@ def test_interior_point_near_a_face(monkeypatch, depth):
     assert len(calls) == (len(probes) if depth < 1e-8 else 0)
     want = np.array([support_under_constraints(outer, d) for d in probes.directions])
     assert np.max(np.abs(got - want)) <= 1e-9 * np.abs(points).max()
+
+
+# --- the support LP in 4-d and up ------------------------------------------
+
+
+@pytest.mark.parametrize("dim", [4, 5])
+def test_lp_outer_error_does_not_depend_on_units_or_position(dim):
+    # HiGHS's tolerances are absolute (1e-7); solved in the cloud's own units,
+    # the 4-d error of the 1e-9 copy, divided by 1e-9, read 25.2 against 0.114.
+    points = generate(ShapeSpec(kind="cube", dim=dim, count=2000, seed=31)).points
+    cloud, dirs = PointCloud(points), sample_uniform(300, dim, seed=34)
+    outer = outer_hull(build_sketch(cloud, dirs), cloud, dirs)
+    probes = sample_uniform(40, dim, seed=35)
+    unit = outer_error(outer, VertexPolytope(points), probes).value
+    assert unit > 0.05
+    for scale, shift in [(1e-9, 0.0), (1e9, 0.0), (1.0, 1e3)]:
+        moved = np.full(dim, shift)
+        copy = make_outer(outer.normals, scale * outer.offsets + outer.normals @ moved)
+        got = outer_error(copy, VertexPolytope(scale * points + moved), probes).value
+        assert got / scale == pytest.approx(unit, rel=1e-9), (scale, shift)

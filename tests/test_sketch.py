@@ -33,7 +33,7 @@ def crafted_sketch(counts, n_dirs, dim=2, seed=0):
     cloud = PointCloud(np.arange(len(counts) * dim, dtype=float).reshape(-1, dim))
     dirs = sample_uniform(n_dirs, dim, seed)
     assignment = np.repeat(np.arange(len(counts)), counts)
-    return CurvatureSketch(cloud=cloud, dirs=dirs, assignment=assignment, counts=np.asarray(counts))
+    return CurvatureSketch(cloud=cloud, dirs=dirs, assignment=assignment)
 
 
 def test_square_diagonal_directions_one_win_each():
@@ -185,7 +185,6 @@ def test_outer_hull_feasibility_random():
     sk = build_sketch(cloud, dirs)
     hull = outer_hull(sk, cloud, dirs)
     assert bool(hull.contains(cloud.points, tol=1e-9).all())
-    assert hull.support_indices.tolist() == sk.assignment.tolist()
 
 
 def test_outer_hull_input_must_match():
@@ -270,8 +269,12 @@ def test_export_schema():
 
 def test_sketch_validation():
     dirs = sample_uniform(4, 2, seed=0)
-    with pytest.raises(ValueError):
-        CurvatureSketch(
-            cloud=SQUARE, dirs=dirs, assignment=np.zeros(4, dtype=np.int64),
-            counts=np.array([1, 1, 1, 1]),  # inconsistent with assignment
-        )
+    for assignment in ([0, 1, 2], [0, 1, 2, 4], [0, 1, 2, -1]):  # wrong length, out of range
+        with pytest.raises(ValueError):
+            CurvatureSketch(cloud=SQUARE, dirs=dirs, assignment=np.array(assignment))
+    # counts is derived from the assignment: a fourth positional argument is refused
+    with pytest.raises(TypeError):
+        CurvatureSketch(SQUARE, dirs, np.arange(4), np.ones(4, dtype=np.int64))
+    sk = CurvatureSketch(SQUARE, dirs, [3, 3, 0, 2])
+    assert sk.counts.tolist() == [1, 0, 1, 2]
+    assert sk.scores_formed is None
