@@ -203,6 +203,9 @@ def _sketch_from_json(path: str, cloud: PointCloud) -> CurvatureSketch:
         raise CliValidationError(f"{path}: {', '.join(bad)} must be JSON integers")
     if payload["n_points"] != len(cloud) or payload["dim"] != cloud.dim:
         raise CliValidationError(f"{path}: sketch does not match the point file")
+    # checked before sampling, so a corrupt n_dirs cannot allocate n_dirs x dim
+    if payload["n_dirs"] < 1 or len(payload["assignment"]) != payload["n_dirs"]:
+        raise CliValidationError(f"{path}: n_dirs must be >= 1 and equal len(assignment)")
     dirs = sample_uniform(payload["n_dirs"], payload["dim"], payload["dirs_seed"])
     if payload["dirs_method"] != dirs.method:
         raise CliValidationError(f"{path}: dirs_method is not {dirs.method!r}")
@@ -228,18 +231,7 @@ def cmd_compress(args) -> None:
         sketch = build_sketch(cloud, dirs)
     inner = threshold_filter(sketch, args.alpha, args.mode, args.seed + FILTER_SEED_OFFSET)
     compressed, clusters = vertex_compress(inner, cloud, args.beta, args.order)
-
-    _inner_csv(
-        f"{args.out_prefix}_vertices.csv", compressed.select(cloud), compressed.curvatures
-    )
-    cluster_payload = {
-        "representatives": clusters.representatives.tolist(),
-        "members": {str(k): v.tolist() for k, v in clusters.members.items()},
-        "beta": args.beta,
-        "order": args.order,
-    }
-
-    n_planes_out = None
+    hull = None
     if args.hyperplanes:
         hull = hyperplane_compress(
             sketch,
@@ -251,12 +243,7 @@ def cmd_compress(args) -> None:
             gamma=args.gamma,
             seed=args.seed,
         )
-        write_halfspaces(f"{args.out_prefix}_halfspaces.csv", hull.normals, hull.offsets)
-        n_planes_out = len(hull)
-        cluster_payload["n_halfspaces"] = n_planes_out
-
-    _write_json(f"{args.out_prefix}_clusters.json", cluster_payload)
-
+    n_planes_out = None if hull is None else len(hull)
     ratios_payload: dict = {
         "found_vertices": len(compressed),
         "true_vertices": None,
@@ -273,6 +260,21 @@ def cmd_compress(args) -> None:
         if cloud.dim == 2 and n_planes_out is not None:
             ratios_payload["true_planes"] = true_v
             ratios_payload["plane_ratio"] = n_planes_out / true_v
+
+    # Every computation that can fail is done: write the outputs.
+    _inner_csv(
+        f"{args.out_prefix}_vertices.csv", compressed.select(cloud), compressed.curvatures
+    )
+    cluster_payload = {
+        "representatives": clusters.representatives.tolist(),
+        "members": {str(k): v.tolist() for k, v in clusters.members.items()},
+        "beta": args.beta,
+        "order": args.order,
+    }
+    if hull is not None:
+        write_halfspaces(f"{args.out_prefix}_halfspaces.csv", hull.normals, hull.offsets)
+        cluster_payload["n_halfspaces"] = n_planes_out
+    _write_json(f"{args.out_prefix}_clusters.json", cluster_payload)
     _write_json(f"{args.out_prefix}_ratios.json", ratios_payload)
 
     summary = _summary_base(

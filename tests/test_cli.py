@@ -132,6 +132,16 @@ def test_compress_rejects_sketch_json_assignment_out_of_range(tmp_path, capsys):
         assert "outside [0, 80)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n_dirs", [0, -1, 41, 10**12])
+def test_compress_rejects_sketch_json_n_dirs_before_sampling(tmp_path, capsys, n_dirs):
+    pts_path, payload = saved_sketch(tmp_path)
+    payload["n_dirs"] = n_dirs
+    assert compress_with(tmp_path, pts_path, payload) == 1
+    assert capsys.readouterr().err.endswith(
+        "bad_sketch.json: n_dirs must be >= 1 and equal len(assignment)\n"
+    )
+
+
 def moved_win(payload):
     """Counts with one win moved to a point that won nothing: they still sum
     to n_dirs, but no longer tally the assignment."""
@@ -389,6 +399,22 @@ def test_compress_rejects_out_of_range_hyperplane_flags(tmp_path, capsys, flags,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert not (tmp_path / "c_clusters.json").exists()
+
+
+@pytest.mark.parametrize("flags, code, message", [
+    (["--inner-beta", "-1"], 1, "inner_beta must be finite and nonnegative"),
+    (["--variant", "gamma-threshold", "--gamma", "1e-300"], 2, "no constraints survived"),
+])
+def test_failed_compress_writes_no_output(tmp_path, capsys, flags, code, message):
+    pts_path = tmp_path / "pts.csv"
+    assert run(["gen", "--shape", "cube", "--dims", "3", "--points", "100",
+                "--out", str(pts_path)]) == 0
+    assert run([
+        "compress", "--in", str(pts_path), "--dirs", "100", "--hyperplanes", *flags,
+        "--out-prefix", str(tmp_path / "c"),
+    ]) == code
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.glob("c_*")) == []
 
 
 def test_error_rejects_negative_probes(tmp_path, capsys):

@@ -26,10 +26,30 @@ CASES = {
                      "--out", sys.argv[1]]) == 0
         assert_loaded(scipy=False)
     """,
+    # directions come from a numpy port of ndtri, not scipy.special
     "sample_uniform": """
         from hullsketch.directions import sample_uniform
         sample_uniform(10, 3, 0)
-        assert_loaded(special=True, optimize=False)
+        assert_loaded(scipy=False)
+    """,
+    "sketch": """
+        from hullsketch.cli import main
+        pts = sys.argv[1]
+        assert main(["gen", "--shape", "cube", "--dims", "3", "--points", "100",
+                     "--out", pts]) == 0
+        assert main(["sketch", "--in", pts, "--dirs", "50", "--out-prefix", pts + ".run",
+                     "--save-sketch"]) == 0
+        assert_loaded(scipy=False)
+    """,
+    # the library calls of the benchmark's million3d worker
+    "library_sketch": """
+        import hullsketch as hs
+        cloud = hs.generate(hs.ShapeSpec(kind="sphere", dim=3, count=2000, seed=1))
+        dirs = hs.sample_uniform(100, 3, 2)
+        sketch = hs.build_sketch(cloud, dirs)
+        hs.threshold_filter(sketch, 0.0)
+        hs.outer_hull(sketch, cloud, dirs)
+        assert_loaded(scipy=False)
     """,
     # 3-d outer error is a max over the halfspace intersection's vertices
     "error_3d": """
