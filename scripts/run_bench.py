@@ -32,7 +32,7 @@ def run(out_dir: Path, points: int, seed: int) -> None:
         code = main([
             "bench", "--shape", shape, "--dims", "3", "--points", str(points),
             "--schedule", schedule, "--seed", str(seed), "--gen-seed", str(seed + 1),
-            "--ref-dirs", "4000", "--out", str(out), *extra,
+            "--out", str(out), *extra,
         ])
         if code != 0:
             raise SystemExit(code)

@@ -38,7 +38,6 @@ class BoundQuery:
     p: float
     eps: float
     x_count: int = 1
-    omega: float | None = None
 
     def __post_init__(self):
         if self.n < 2:
@@ -51,8 +50,6 @@ class BoundQuery:
             raise ValueError("error target eps must be positive")
         if self.x_count < 1:
             raise ValueError("extreme point count must be >= 1")
-        if self.omega is not None and not 0.0 < self.omega < 1.0:
-            raise ValueError("omega must lie in (0, 1)")
 
 
 def sphere_surface_measure(n: int) -> float:

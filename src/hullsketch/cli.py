@@ -48,7 +48,6 @@ __all__ = ["build_parser", "bench_rows", "main", "entrypoint"]
 # Derived-seed offsets so each random stage has its own stream.
 FILTER_SEED_OFFSET = 1
 PROBE_SEED_OFFSET = 2
-REFERENCE_SEED_OFFSET = 3
 SUBSAMPLE_SEED_OFFSET = 4
 
 DEFAULT_ORACLE_CAP = 2000
@@ -107,18 +106,20 @@ def _check_oracle_cap(args) -> None:
         raise CliValidationError("oracle-cap must be >= 1")
 
 
-def _reference_extremes(
-    cloud: PointCloud, seed: int, oracle_cap: int, ref_dirs: int
-) -> tuple[VertexPolytope, str]:
-    """Reference vertex set for inner error: exact oracle at desk scale,
-    otherwise the found set of an independent, larger direction sample."""
+def _reference(cloud: PointCloud, seed: int, oracle_cap: int) -> tuple[VertexPolytope, str]:
+    """Reference vertex set for inner error, and its tag: the oracle's
+    extreme points of the cloud, or above ``oracle_cap`` points of a seeded
+    ``oracle_cap``-point subsample."""
     if len(cloud) <= oracle_cap:
-        idx = exact_extreme_points(cloud)
-        return VertexPolytope(cloud.points[idx]), "oracle"
-    ref_set = sample_uniform(ref_dirs, cloud.dim, seed + REFERENCE_SEED_OFFSET)
-    ref_sketch = build_sketch(cloud, ref_set)
-    found = np.flatnonzero(ref_sketch.counts > 0)
-    return VertexPolytope(cloud.points[found]), "reference-run"
+        return VertexPolytope(cloud.points[exact_extreme_points(cloud)]), "oracle"
+    rng = np.random.Generator(np.random.PCG64(seed + SUBSAMPLE_SEED_OFFSET))
+    sub = cloud.points[np.sort(rng.choice(len(cloud), size=oracle_cap, replace=False))]
+    return VertexPolytope(sub[exact_extreme_points(PointCloud(sub))]), "oracle-subsample"
+
+
+def _probes(args, dim: int):
+    """The outer error's probe directions; None in the plane, where it is exact."""
+    return None if dim == 2 else sample_uniform(args.probes, dim, args.seed + PROBE_SEED_OFFSET)
 
 
 # ---------------------------------------------------------------------------
@@ -309,28 +310,14 @@ def cmd_error(args) -> None:
         raise CliValidationError("halfspace dimension does not match the points")
     outer = OuterHull(normals=normals, offsets=offsets)
 
-    if len(cloud) <= args.oracle_cap:
-        oracle_idx = exact_extreme_points(cloud)
-        reference = VertexPolytope(cloud.points[oracle_idx])
-        reference_tag = "oracle"
-    else:
-        rng = np.random.Generator(np.random.PCG64(args.seed + SUBSAMPLE_SEED_OFFSET))
-        pick = rng.choice(len(cloud), size=args.oracle_cap, replace=False)
-        sub = PointCloud(cloud.points[np.sort(pick)])
-        oracle_idx = exact_extreme_points(sub)
-        reference = VertexPolytope(sub.points[oracle_idx])
-        reference_tag = "oracle-subsample"
-
+    reference, reference_tag = _reference(cloud, args.seed, args.oracle_cap)
     inner_val = inner_error(reference, VertexPolytope(kept), check_containment=False)
 
     outer_val = None
     outer_method = None
     n_probes = 0
     if args.probes > 0 or cloud.dim == 2:
-        probes = None
-        if cloud.dim >= 3:
-            probes = sample_uniform(args.probes, cloud.dim, args.seed + PROBE_SEED_OFFSET)
-        result = outer_error(outer, VertexPolytope(cloud.points), probes)
+        result = outer_error(outer, VertexPolytope(cloud.points), _probes(args, cloud.dim))
         outer_val, outer_method, n_probes = result.value, result.method, result.n_probes
 
     n_found = None
@@ -395,8 +382,9 @@ def bench_rows(args) -> list[dict]:
     schedule shares a single nested direction sample: the run at M uses
     the first M directions of the longest run, so found sets grow and the
     outer constraint sets are nested, making the error columns non-increasing
-    sequences rather than statistical trends.  The outer error is the one
-    ``error`` reports for the same halfspaces and probes.
+    sequences rather than statistical trends.  Each row's errors are the
+    ones ``error`` reports for the sketch at M: the same reference hull,
+    probes and calls.
     """
     _check_oracle_cap(args)
     schedule = args.schedule
@@ -412,20 +400,14 @@ def bench_rows(args) -> list[dict]:
         cloud = _generate(args, args.gen_seed if args.gen_seed is not None else args.seed)
     else:
         raise CliValidationError("bench needs --in or --shape")
-    m_max = schedule[-1]
-    dirs = sample_uniform(m_max, cloud.dim, args.seed)
+    if cloud.dim >= 3 and args.probes < 1:
+        raise CliValidationError("bench needs probes >= 1 in dimension >= 3")
+    dirs = sample_uniform(schedule[-1], cloud.dim, args.seed)
     full = build_sketch(cloud, dirs)
-
-    ref_dirs = args.ref_dirs if args.ref_dirs is not None else 4 * m_max
-    reference, ref_tag = _reference_extremes(cloud, args.seed, args.oracle_cap, ref_dirs)
-
+    reference, reference_tag = _reference(cloud, args.seed, args.oracle_cap)
     hull = VertexPolytope(cloud.points)
-    probes = h_true = None
-    if cloud.dim >= 3:
-        if args.probes < 1:
-            raise CliValidationError("bench needs probes >= 1 in dimension >= 3")
-        probes = sample_uniform(args.probes, cloud.dim, args.seed + PROBE_SEED_OFFSET)
-        h_true = probe_support(hull, probes)
+    probes = _probes(args, cloud.dim)
+    h_true = None if probes is None else probe_support(hull, probes)
 
     rows = []
     for m in schedule:
@@ -434,28 +416,23 @@ def bench_rows(args) -> list[dict]:
         inner_m = threshold_filter(
             sketch_m, args.alpha, args.mode, args.seed + FILTER_SEED_OFFSET
         )
-        n_found = int(np.count_nonzero(sketch_m.counts))
+        inner_val = math.inf
         if len(inner_m) > 0:
             inner_val = inner_error(
-                reference,
-                VertexPolytope(inner_m.select(cloud)),
-                check_containment=False,
+                reference, VertexPolytope(inner_m.select(cloud)), check_containment=False
             )
-        else:
-            inner_val = math.inf
         outer = outer_error(
             outer_hull(sketch_m, cloud, prefix_dirs), hull, probes, h_true=h_true
         )
-
         rows.append(
             {
                 "n_dirs": m,
-                "n_found": n_found,
+                "n_found": int(np.count_nonzero(sketch_m.counts)),
                 "n_kept": len(inner_m),
                 "inner_error": inner_val,
                 "outer_error": outer.value,
                 "method": outer.method,
-                "reference": ref_tag,
+                "reference": reference_tag,
             }
         )
     return rows
@@ -479,6 +456,13 @@ def cmd_bench(args) -> None:
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # exit code 1 via CliValidationError, not SystemExit(2)
         raise CliValidationError(message)
+
+
+class _Ignored(argparse.Action):
+    """A retired flag: takes its value, notes on stderr that it has no effect."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        print(f"note: {option_string} is ignored", file=sys.stderr)
 
 
 def _parse_schedule(text: str) -> list[int]:
@@ -568,7 +552,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("hard", "proportional"), default="hard")
     p.add_argument("--probes", type=int, default=200)
     p.add_argument("--oracle-cap", type=int, default=DEFAULT_ORACLE_CAP)
-    p.add_argument("--ref-dirs", type=int, default=None)
+    # retired and ignored; it parses while perfbench's desk3d workload still passes it
+    p.add_argument("--ref-dirs", action=_Ignored, default=argparse.SUPPRESS, help=argparse.SUPPRESS)
     p.add_argument("--transform", default=None)
     p.set_defaults(run=cmd_bench)
     return parser

@@ -39,8 +39,9 @@ class ShapeSpec:
             mat = np.array(self.transform, dtype=np.float64, copy=True)
             if mat.shape != (self.dim, self.dim):
                 raise ValueError("transform must be a (dim, dim) matrix")
-            if abs(np.linalg.det(mat)) < 1e-12:
-                raise ValueError("transform must be nonsingular")
+            # a rank test is scale-free; a determinant threshold rejects 1e-6 * I in 3-d
+            if not np.all(np.isfinite(mat)) or np.linalg.matrix_rank(mat) < self.dim:
+                raise ValueError("transform must be finite and nonsingular")
             mat.setflags(write=False)
             object.__setattr__(self, "transform", mat)
         if self.shift is not None:

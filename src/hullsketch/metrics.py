@@ -93,6 +93,16 @@ class ErrorReport:
         return json.dumps(self.to_dict())
 
 
+def _unit_exponent(reference: VertexPolytope) -> int:
+    """Exponent of the power of two that brings the reference's largest
+    coordinate extent into [1/2, 1), as in ``exact_extreme_points``."""
+    return int(np.frexp(np.ptp(reference.vertices, axis=0).max())[1])
+
+
+def _scaled(poly: VertexPolytope, exponent: int) -> VertexPolytope:
+    return VertexPolytope(np.ldexp(poly.vertices, -exponent))
+
+
 def inner_error(
     true_extremes: VertexPolytope,
     inner: VertexPolytope,
@@ -106,30 +116,33 @@ def inner_error(
     vertex.  With ``check_containment`` the kept points are verified to lie
     inside the reference hull (a warning is emitted if they stick out beyond
     ``tol``; this happens when the reference is itself approximate).
+
+    Both hulls are judged in the power-of-two frame of the reference's
+    largest coordinate extent, so ``tol`` is relative to that extent.
     """
     if true_extremes.dim != inner.dim:
         raise ValueError("dimension mismatch between reference and inner hull")
+    exponent = _unit_exponent(true_extremes)
+    ref, kept = _scaled(true_extremes, exponent), _scaled(inner, exponent)
     if check_containment:
-        worst = max(
-            project_onto_hull(v, true_extremes, tol=tol).distance
-            for v in inner.vertices
-        )
+        worst = max(project_onto_hull(v, ref, tol=tol).distance for v in kept.vertices)
         if worst > tol:
             warnings.warn(
-                f"inner hull vertices stick out of the reference hull by {worst:.3e}",
+                "inner hull vertices stick out of the reference hull by "
+                f"{math.ldexp(worst, exponent):.3e}",
                 stacklevel=2,
             )
-    return max(
-        project_onto_hull(v, inner, tol=tol).distance for v in true_extremes.vertices
-    )
+    worst = max(project_onto_hull(v, kept, tol=tol).distance for v in ref.vertices)
+    return math.ldexp(worst, exponent)
 
 
 def outer_hull_vertices_2d(outer: OuterHull, feas_tol: float = 1e-7) -> np.ndarray:
     """Enumerate the vertices of a bounded 2-d halfspace intersection.
 
-    Intersects every constraint pair and keeps the feasible crossings.
-    Raises :class:`UnboundedOuterHullError` when the normals leave an angular
-    gap of at least pi (then a recession direction exists).
+    Intersects every constraint pair and keeps the crossings feasible to
+    ``feas_tol`` times the largest offset.  Raises :class:`UnboundedOuterHullError`
+    when the normals leave an angular gap of at least pi (then a recession
+    direction exists).
     """
     if outer.dim != 2:
         raise ValueError("vertex enumeration is only available in dimension 2")
@@ -150,7 +163,7 @@ def outer_hull_vertices_2d(outer: OuterHull, feas_tol: float = 1e-7) -> np.ndarr
     xs = (b1 * a2[:, 1] - b2 * a1[:, 1]) / det
     ys = (a1[:, 0] * b2 - a2[:, 0] * b1) / det
     cand = np.column_stack([xs, ys])
-    scale = max(1.0, float(np.max(np.abs(offsets))))
+    scale = float(np.max(np.abs(offsets)))
     # blocked feasibility scan: the candidate-by-constraint matrix can reach
     # O(m^3) entries otherwise
     chunk = max(1, (1 << 24) // (8 * m))
@@ -295,11 +308,11 @@ def outer_error(
     if method == "auto":
         method = EXACT_2D if outer.dim == 2 else SUPPORT_GAP
     if method == EXACT_2D:
-        verts = outer_hull_vertices_2d(outer)
-        value = max(
-            project_onto_hull(v, true_extremes, tol=tol).distance for v in verts
-        )
-        return OuterErrorResult(value=float(value), method=EXACT_2D, n_probes=0)
+        exponent = _unit_exponent(true_extremes)  # judged as in inner_error
+        ref = _scaled(true_extremes, exponent)
+        verts = np.ldexp(outer_hull_vertices_2d(outer), -exponent)
+        value = max(project_onto_hull(v, ref, tol=tol).distance for v in verts)
+        return OuterErrorResult(value=math.ldexp(value, exponent), method=EXACT_2D, n_probes=0)
     if method != SUPPORT_GAP:
         raise ValueError(f"unknown method {method!r}")
     if probes is None:

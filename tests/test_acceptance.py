@@ -129,7 +129,7 @@ def _bench(shape: str, transform_path=None) -> list[dict]:
     argv = [
         "bench", "--schedule", "50,100,200,400,700,1000", "--out", "unused.csv",
         "--seed", "900", "--shape", shape, "--dims", "3", "--points", "10000",
-        "--gen-seed", "901", "--probes", "200", "--ref-dirs", "4000",
+        "--gen-seed", "901", "--probes", "200",
     ]
     if transform_path is not None:
         argv += ["--transform", transform_path]

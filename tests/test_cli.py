@@ -5,7 +5,7 @@ import pytest
 
 from hullsketch import PointCloud, exact_extreme_points
 from hullsketch.cli import bench_rows, build_parser, main
-from hullsketch.io import read_matrix
+from hullsketch.io import read_matrix, write_matrix
 
 from oracles import monotone_chain_indices
 
@@ -458,13 +458,17 @@ def test_error_rejects_oracle_cap_below_one(tmp_path, capsys, cap):
     assert not (tmp_path / "b.csv").exists()
 
 
-@pytest.mark.parametrize("shape,seed", [("cube", 8), ("simplex", 9)])
-def test_bench_outer_error_equals_error_command(tmp_path, shape, seed):
+@pytest.mark.parametrize("cap", ["200", "5000"])
+@pytest.mark.parametrize(
+    "shape,dims,seed", [("cube", 2, 7), ("cube", 3, 8), ("simplex", 3, 9), ("simplex", 4, 10)]
+)
+def test_bench_outer_error_equals_error_command(tmp_path, shape, dims, seed, cap):
     # sketch -> error and bench take the same directions, probes and reference
-    # polytope (the whole cloud), so their outer errors must agree exactly.
+    # hull (the oracle's, on the cloud or on the same seeded subsample of it),
+    # so their rows must agree exactly on both sides of the oracle cap.
     pts_path = tmp_path / "pts.csv"
     assert run([
-        "gen", "--shape", shape, "--dims", "3", "--points", "3000",
+        "gen", "--shape", shape, "--dims", str(dims), "--points", "3000",
         "--seed", str(seed), "--out", str(pts_path),
     ]) == 0
     assert run([
@@ -475,12 +479,76 @@ def test_bench_outer_error_equals_error_command(tmp_path, shape, seed):
     assert run([
         "error", "--in", str(pts_path), "--inner", str(tmp_path / "s_inner.csv"),
         "--halfspaces", str(tmp_path / "s_halfspaces.csv"), "--probes", "30",
-        "--seed", str(seed), "--oracle-cap", "200", "--out", str(out),
+        "--seed", str(seed), "--oracle-cap", cap, "--out", str(out),
     ]) == 0
     rows = bench_rows(bench_args(
         "--in", str(pts_path), "--schedule", "200", "--probes", "30",
-        "--seed", str(seed), "--ref-dirs", "200",
+        "--seed", str(seed), "--oracle-cap", cap,
     ))
     report = json.loads(out.read_text())
-    assert rows[0]["method"] == report["outer_method"] == "support-gap-estimate"
+    assert report["reference"] == ("oracle" if cap == "5000" else "oracle-subsample")
+    assert rows[0]["method"] == report["outer_method"]
+    assert rows[0]["reference"] == report["reference"]
+    assert rows[0]["inner_error"] == report["inner_error"]
     assert rows[0]["outer_error"] == report["outer_error"]
+
+
+@pytest.mark.parametrize("dims", [2, 3])
+def test_error_scales_with_the_cloud(tmp_path, dims):
+    # The projection and 2-d feasibility tolerances are relative to the
+    # reference's extent; with absolute ones a 2-d cube at 1e-9 read an outer
+    # error / s of 91.5 against 0.058, and at 1e-6 the projection did not converge.
+    pts_path = tmp_path / "pts.csv"
+    assert run([
+        "gen", "--shape", "cube", "--dims", str(dims), "--points", "2000",
+        "--seed", "12", "--out", str(pts_path),
+    ]) == 0
+    assert run([
+        "sketch", "--in", str(pts_path), "--dirs", "40", "--seed", "13",
+        "--out-prefix", str(tmp_path / "s"),
+    ]) == 0
+    points = read_matrix(pts_path)
+    inner = read_matrix(tmp_path / "s_inner.csv")[:, :dims]
+    halfspaces = read_matrix(tmp_path / "s_halfspaces.csv")
+
+    def report(scale):
+        paths = [tmp_path / f"{name}_{scale:g}.csv" for name in ("pts", "inner", "hs")]
+        write_matrix(paths[0], scale * points)
+        write_matrix(paths[1], scale * inner)
+        write_matrix(paths[2], np.column_stack([halfspaces[:, :dims], scale * halfspaces[:, dims]]))
+        out = tmp_path / f"report_{scale:g}.json"
+        assert run([
+            "error", "--in", str(paths[0]), "--inner", str(paths[1]),
+            "--halfspaces", str(paths[2]), "--probes", "20", "--seed", "14",
+            "--out", str(out),
+        ]) == 0, scale
+        return json.loads(out.read_text())
+
+    unit = report(1.0)
+    assert unit["inner_error"] > 1e-3 and unit["outer_error"] > 1e-3
+    for scale in (1e-9, 1e-6, 1e6, 1e9):
+        got = report(scale)
+        for key in ("inner_error", "outer_error"):
+            assert got[key] / scale == pytest.approx(unit[key], rel=1e-9), (scale, key)
+
+
+@pytest.mark.parametrize("dims,scale", [(2, 1e-9), (3, 1e-6), (5, 1e-3)])
+def test_gen_accepts_small_nonsingular_transform(tmp_path, dims, scale):
+    tf = tmp_path / "map.csv"
+    write_matrix(tf, scale * np.eye(dims))
+    out = tmp_path / "pts.csv"
+    assert run([
+        "gen", "--shape", "cube", "--dims", str(dims), "--points", "50",
+        "--transform", str(tf), "--out", str(out),
+    ]) == 0
+    assert np.abs(read_matrix(out)).max() <= scale
+
+
+def test_gen_rejects_rank_deficient_transform(tmp_path, capsys):
+    tf = tmp_path / "map.csv"
+    write_matrix(tf, np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 1.0]]))
+    assert run([
+        "gen", "--shape", "cube", "--dims", "3", "--points", "50",
+        "--transform", str(tf), "--out", str(tmp_path / "pts.csv"),
+    ]) == 1
+    assert "nonsingular" in capsys.readouterr().err
