@@ -26,7 +26,7 @@ from .compression import (
     vertex_compress,
 )
 from .datagen import ShapeSpec, generate
-from .directions import DirectionSet, concat, sample_uniform
+from .directions import DirectionSet, sample_uniform
 from .geometry import (
     ConvergenceError,
     PointCloud,
@@ -34,10 +34,7 @@ from .geometry import (
     VertexPolytope,
     exact_extreme_points,
     hausdorff,
-    min_norm_point,
     project_onto_hull,
-    support,
-    support_value,
 )
 from .metrics import (
     EmptyOuterHullError,
@@ -54,7 +51,6 @@ from .sketch import (
     OuterHull,
     build_sketch,
     outer_hull,
-    relative_curvature,
     threshold_filter,
 )
 
@@ -80,7 +76,6 @@ __all__ = [
     "build_sketch",
     "cap_lower_bound",
     "chebyshev_bound",
-    "concat",
     "direction_bundle",
     "direction_count_bound",
     "directions_for_inner_error",
@@ -89,16 +84,12 @@ __all__ = [
     "hausdorff",
     "hyperplane_compress",
     "inner_error",
-    "min_norm_point",
     "outer_error",
     "outer_hull",
     "outer_hull_vertices_2d",
     "project_onto_hull",
-    "relative_curvature",
     "sample_uniform",
     "sphere_surface_measure",
-    "support",
-    "support_value",
     "threshold_filter",
     "vertex_compress",
 ]

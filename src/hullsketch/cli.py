@@ -190,33 +190,10 @@ def cmd_sketch(args) -> None:
 def _sketch_from_json(path: str, cloud: PointCloud) -> CurvatureSketch:
     with open(path) as fh:
         payload = json.load(fh)
-    keys = ("dim", "n_points", "n_dirs", "counts", "assignment", "dirs_seed", "dirs_method")
-    missing = [k for k in keys if not isinstance(payload, dict) or k not in payload]
-    if missing:
-        raise CliValidationError(f"{path}: sketch lacks {', '.join(missing)}")
-    # JSON integers only: `type(v) is int` refuses bools and floats such as 50.0
-    bad = [k for k in ("dim", "n_points", "n_dirs", "dirs_seed") if type(payload[k]) is not int]
-    bad += [
-        k for k in ("assignment", "counts")
-        if type(payload[k]) is not list or not set(map(type, payload[k])) <= {int}
-    ]
-    if bad:
-        raise CliValidationError(f"{path}: {', '.join(bad)} must be JSON integers")
-    if payload["n_points"] != len(cloud) or payload["dim"] != cloud.dim:
-        raise CliValidationError(f"{path}: sketch does not match the point file")
-    # checked before sampling, so a corrupt n_dirs cannot allocate n_dirs x dim
-    if payload["n_dirs"] < 1 or len(payload["assignment"]) != payload["n_dirs"]:
-        raise CliValidationError(f"{path}: n_dirs must be >= 1 and equal len(assignment)")
-    dirs = sample_uniform(payload["n_dirs"], payload["dim"], payload["dirs_seed"])
-    if payload["dirs_method"] != dirs.method:
-        raise CliValidationError(f"{path}: dirs_method is not {dirs.method!r}")
-    assignment = payload["assignment"]
-    if assignment and not 0 <= min(assignment) <= max(assignment) < len(cloud):
-        raise CliValidationError(f"{path}: assignment indexes outside [0, {len(cloud)})")
-    sketch = CurvatureSketch(cloud, dirs, np.asarray(assignment, dtype=np.int64))
-    if not np.array_equal(sketch.counts, payload["counts"]):
-        raise CliValidationError(f"{path}: counts do not tally the assignment")
-    return sketch
+    try:
+        return CurvatureSketch.from_dict(payload, cloud)
+    except ValueError as exc:
+        raise CliValidationError(f"{path}: {exc}") from None
 
 
 def cmd_compress(args) -> None:
@@ -311,16 +288,14 @@ def cmd_error(args) -> None:
     outer = OuterHull(normals=normals, offsets=offsets)
 
     reference, reference_tag = _reference(cloud, args.seed, args.oracle_cap)
-    inner_val = inner_error(reference, VertexPolytope(kept), check_containment=False)
+    inner_val = inner_error(reference, VertexPolytope(kept))
 
-    outer_val = None
-    outer_method = None
-    n_probes = 0
+    outer_val, outer_method, n_probes = None, None, 0
     if args.probes > 0 or cloud.dim == 2:
         result = outer_error(outer, VertexPolytope(cloud.points), _probes(args, cloud.dim))
         outer_val, outer_method, n_probes = result.value, result.method, result.n_probes
 
-    n_found = None
+    n_found = -1
     if args.sketch_json is not None:
         n_found = int(np.count_nonzero(_sketch_from_json(args.sketch_json, cloud).counts))
 
@@ -330,7 +305,7 @@ def cmd_error(args) -> None:
         outer_method=outer_method,
         n_probes=n_probes,
         n_dirs_used=len(offsets),
-        n_found=n_found if n_found is not None else -1,
+        n_found=n_found,
         n_kept=kept.shape[0],
     )
     payload = report.to_dict()
@@ -395,6 +370,10 @@ def bench_rows(args) -> list[dict]:
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise CliValidationError("schedule must be strictly increasing")
     if args.points_path is not None:
+        given = [f for f in ("shape", "transform", "gen_seed") if getattr(args, f) is not None]
+        if given:
+            flags = ", ".join("--" + f.replace("_", "-") for f in given)
+            raise CliValidationError(f"bench --in takes its cloud from the file; drop {flags}")
         cloud = PointCloud(read_matrix(args.points_path))
     elif args.shape is not None:
         cloud = _generate(args, args.gen_seed if args.gen_seed is not None else args.seed)
@@ -418,9 +397,7 @@ def bench_rows(args) -> list[dict]:
         )
         inner_val = math.inf
         if len(inner_m) > 0:
-            inner_val = inner_error(
-                reference, VertexPolytope(inner_m.select(cloud)), check_containment=False
-            )
+            inner_val = inner_error(reference, VertexPolytope(inner_m.select(cloud)))
         outer = outer_error(
             outer_hull(sketch_m, cloud, prefix_dirs), hull, probes, h_true=h_true
         )

@@ -63,9 +63,6 @@ class ClusterMap:
             frozen[int(rep)] = arr
         object.__setattr__(self, "members", frozen)
 
-    def covered_indices(self) -> np.ndarray:
-        return np.sort(np.concatenate(list(self.members.values())))
-
 
 def vertex_compress(
     inner: InnerHull,
@@ -119,12 +116,7 @@ def vertex_compress(
     keep_sorted = np.sort(rep_arr)
     pos_of = {int(k): i for i, k in enumerate(kept)}
     new_curv = np.array([curv[pos_of[int(k)]] for k in keep_sorted])
-    compressed = InnerHull(
-        kept_indices=keep_sorted,
-        curvatures=new_curv,
-        alpha=inner.alpha,
-        mode=inner.mode,
-    )
+    compressed = InnerHull(kept_indices=keep_sorted, curvatures=new_curv)
     return compressed, ClusterMap(representatives=rep_arr, members=members)
 
 

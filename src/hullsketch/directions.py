@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["DirectionSet", "sample_uniform", "concat"]
+__all__ = ["DirectionSet", "sample_uniform"]
 
 GAUSSIAN_UNIFORM = "gaussian-uniform"
 
@@ -168,15 +168,3 @@ def sample_uniform(m: int, n: int, seed: int) -> DirectionSet:
         norms = np.linalg.norm(raw, axis=1)
         bad = ~np.isfinite(norms) | (norms == 0.0)
     return DirectionSet(raw / norms[:, None], seed=seed, method=GAUSSIAN_UNIFORM)
-
-
-def concat(a: DirectionSet, b: DirectionSet) -> DirectionSet:
-    """Ordered concatenation preserving ``a`` as the prefix.
-
-    The result carries ``a``'s provenance tag; reproducibility from a single
-    seed is only guaranteed for sets coming straight out of ``sample_uniform``.
-    """
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    stacked = np.vstack([a.directions, b.directions])
-    return DirectionSet(stacked, seed=a.seed, method=a.method)

@@ -1,8 +1,12 @@
 """Exact geometric primitives shared by the whole library.
 
-Support queries, projection of a point onto the convex hull of a vertex set
-(Wolfe-style min-norm point), Hausdorff distance between vertex polytopes,
-and an exact extreme-point oracle for desk-scale verification.
+Projection of a point onto the convex hull of a vertex set (Wolfe-style
+min-norm point), Hausdorff distance between vertex polytopes, and an exact
+extreme-point oracle for desk-scale verification.
+
+Every tolerance is the fixed ``DEFAULT_TOL``.  The oracle and the error
+metrics apply it in the frame where the data's largest coordinate extent
+lies in [1/2, 1) (``_unit_exponent``), so it is relative to that extent.
 
 ``scipy.spatial`` is imported inside ``_qhull_candidates``, the only
 caller of Qhull, so only a run that asks the oracle for extreme points
@@ -25,9 +29,6 @@ __all__ = [
     "VertexPolytope",
     "ConvergenceError",
     "ProjectionResult",
-    "support",
-    "support_value",
-    "min_norm_point",
     "project_onto_hull",
     "hausdorff",
     "exact_extreme_points",
@@ -125,24 +126,6 @@ class ProjectionResult:
     iterations: int
 
 
-def support(cloud: PointCloud, d) -> tuple[int, float]:
-    """Return ``(index, value)`` of the cloud point maximising ``x . d``.
-
-    Ties are broken towards the smallest index so repeated runs are
-    reproducible even on symmetric inputs.
-    """
-    d = _check_vector(d, cloud.dim)
-    dots = cloud.points @ d
-    idx = int(np.argmax(dots))  # first occurrence == smallest index
-    return idx, float(dots[idx])
-
-
-def support_value(hull: VertexPolytope, d) -> float:
-    """Exact support function ``h(d) = max_v v . d`` of a vertex polytope."""
-    d = _check_vector(d, hull.dim)
-    return float(np.max(hull.vertices @ d))
-
-
 def _affine_min_norm(gram: np.ndarray) -> np.ndarray:
     """Solve ``min ||sum mu_i q_i||^2`` subject to ``sum mu_i = 1``.
 
@@ -161,25 +144,19 @@ def _affine_min_norm(gram: np.ndarray) -> np.ndarray:
     return sol[1:]
 
 
-def project_onto_hull(
-    x,
-    hull: VertexPolytope,
-    tol: float = DEFAULT_TOL,
-    max_iter: int | None = None,
-) -> ProjectionResult:
+def project_onto_hull(x, hull: VertexPolytope, max_iter: int | None = None) -> ProjectionResult:
     """Project ``x`` onto ``CH(hull.vertices)`` by Wolfe's min-norm-point scheme.
 
     The objective ``||y - x||`` is monotone non-increasing across major
     cycles.  Iteration stops when the support-gap certificate guarantees the
-    returned distance is within ``tol`` of the true minimum; exceeding the
-    iteration cap raises :class:`ConvergenceError` carrying the best iterate.
+    returned distance is within ``DEFAULT_TOL`` of the true minimum;
+    exceeding the iteration cap raises :class:`ConvergenceError` carrying
+    the best iterate.
 
     Certification saturates at the float64 rounding floor: for points within
     about ``sqrt(eps)`` of the hull boundary (relative to the data scale) the
     returned distance carries that inherent uncertainty.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     x = _check_vector(x, hull.dim)
     q = hull.vertices - x  # work relative to x: minimise ||y|| over CH(q)
     n_vert = q.shape[0]
@@ -207,7 +184,7 @@ def project_onto_hull(
         gap = yy - float(dots[j])
         norm_y = math.sqrt(max(yy, 0.0))
         # Distance excess <= 2*gap / max(||y||, tol); see module tests.
-        if gap <= 0.5 * tol * max(norm_y, tol) or gap <= noise_floor or j in corral:
+        if gap <= 0.5 * DEFAULT_TOL * max(norm_y, DEFAULT_TOL) or gap <= noise_floor or j in corral:
             break
         stall = stall + 1 if yy >= prev_yy * (1.0 - 1e-12) else 0
         prev_yy = yy
@@ -264,15 +241,7 @@ def project_onto_hull(
     )
 
 
-def min_norm_point(
-    x, hull: VertexPolytope, tol: float = DEFAULT_TOL
-) -> tuple[np.ndarray, float]:
-    """Closest point of ``CH(hull.vertices)`` to ``x`` and its distance."""
-    res = project_onto_hull(x, hull, tol=tol)
-    return res.point, res.distance
-
-
-def hausdorff(p: VertexPolytope, q: VertexPolytope, tol: float = DEFAULT_TOL) -> float:
+def hausdorff(p: VertexPolytope, q: VertexPolytope) -> float:
     """Hausdorff distance between two vertex polytopes.
 
     Because the supremum of the distance function over a polytope is attained
@@ -280,8 +249,8 @@ def hausdorff(p: VertexPolytope, q: VertexPolytope, tol: float = DEFAULT_TOL) ->
     """
     if p.dim != q.dim:
         raise ValueError("polytopes must share a dimension")
-    d_pq = max(project_onto_hull(v, q, tol=tol).distance for v in p.vertices)
-    d_qp = max(project_onto_hull(v, p, tol=tol).distance for v in q.vertices)
+    d_pq = max(project_onto_hull(v, q).distance for v in p.vertices)
+    d_qp = max(project_onto_hull(v, p).distance for v in q.vertices)
     return max(d_pq, d_qp)
 
 
@@ -302,17 +271,23 @@ def _qhull_candidates(rows: np.ndarray) -> np.ndarray:
     return np.union1d(hull.vertices, hull.coplanar[:, 0])
 
 
-def exact_extreme_points(cloud: PointCloud, tol: float = DEFAULT_TOL) -> np.ndarray:
+def _unit_exponent(points: np.ndarray) -> int:
+    """Exponent of the power of two that brings the largest coordinate
+    extent of ``points`` into [1/2, 1)."""
+    return int(np.frexp(np.ptp(points, axis=0).max())[1])
+
+
+def exact_extreme_points(cloud: PointCloud) -> np.ndarray:
     """Indices of the points of ``cloud`` that are extreme in its hull.
 
     A distinct row is extreme iff its distance to the hull of all other
-    distinct rows exceeds ``tol``; a repeated row is reported once, by its
-    smallest index (the sketch's tie-break).
+    distinct rows exceeds ``DEFAULT_TOL``; a repeated row is reported once,
+    by its smallest index (the sketch's tie-break).
 
     The rows are first centred on their bounding-box midpoint and scaled by
-    the power of two that brings their largest extent into [1/2, 1), so
-    ``tol`` is relative to the extent and the answer does not depend on the
-    units of the cloud.  For 2 <= dim <= 5 and more than dim + 1 distinct
+    the power of two that brings their largest extent into [1/2, 1), so the
+    tolerance is relative to the extent and the answer does not depend on
+    the units of the cloud.  For 2 <= dim <= 5 and more than dim + 1 distinct
     rows, Qhull (Barber, Dobkin & Huhdanpaa, ACM TOMS 1996) proposes the
     candidates: its hull vertices and the points it found coplanar with a
     facet.  A row it puts strictly inside the hull cannot be extreme.  In
@@ -329,11 +304,10 @@ def exact_extreme_points(cloud: PointCloud, tol: float = DEFAULT_TOL) -> np.ndar
     if len(rows) == 1:
         return first.astype(np.int64)
     lo, hi = rows.min(axis=0), rows.max(axis=0)
-    _, exponent = np.frexp(np.max(hi - lo))
-    rows = np.ldexp(rows - (lo + hi) / 2, -exponent)
+    rows = np.ldexp(rows - (lo + hi) / 2, -_unit_exponent(rows))
     out = []
     for i in _qhull_candidates(rows):
         others = VertexPolytope(np.delete(rows, i, axis=0))
-        if project_onto_hull(rows[i], others, tol=tol).distance > tol:
+        if project_onto_hull(rows[i], others).distance > DEFAULT_TOL:
             out.append(first[i])
     return np.sort(np.array(out, dtype=np.int64))

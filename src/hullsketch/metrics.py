@@ -27,15 +27,13 @@ for the same reason.
 """
 from __future__ import annotations
 
-import json
 import math
-import warnings
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from .directions import DirectionSet
-from .geometry import VertexPolytope, project_onto_hull, support_value
+from .geometry import VertexPolytope, _unit_exponent, project_onto_hull
 from .sketch import OuterHull
 
 __all__ = [
@@ -89,50 +87,25 @@ class ErrorReport:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-
-def _unit_exponent(reference: VertexPolytope) -> int:
-    """Exponent of the power of two that brings the reference's largest
-    coordinate extent into [1/2, 1), as in ``exact_extreme_points``."""
-    return int(np.frexp(np.ptp(reference.vertices, axis=0).max())[1])
-
 
 def _scaled(poly: VertexPolytope, exponent: int) -> VertexPolytope:
     return VertexPolytope(np.ldexp(poly.vertices, -exponent))
 
 
-def inner_error(
-    true_extremes: VertexPolytope,
-    inner: VertexPolytope,
-    tol: float = 1e-9,
-    check_containment: bool = True,
-) -> float:
+def inner_error(true_extremes: VertexPolytope, inner: VertexPolytope) -> float:
     """Largest distance from a reference vertex to the hull of kept points.
 
     Only vertices of the reference need checking: the distance function to a
     convex set is convex, so its supremum over a polytope is attained at a
-    vertex.  With ``check_containment`` the kept points are verified to lie
-    inside the reference hull (a warning is emitted if they stick out beyond
-    ``tol``; this happens when the reference is itself approximate).
-
-    Both hulls are judged in the power-of-two frame of the reference's
-    largest coordinate extent, so ``tol`` is relative to that extent.
+    vertex.  Both hulls are judged in the power-of-two frame of the
+    reference's largest coordinate extent, so the projections' tolerance is
+    relative to that extent.
     """
     if true_extremes.dim != inner.dim:
         raise ValueError("dimension mismatch between reference and inner hull")
-    exponent = _unit_exponent(true_extremes)
+    exponent = _unit_exponent(true_extremes.vertices)
     ref, kept = _scaled(true_extremes, exponent), _scaled(inner, exponent)
-    if check_containment:
-        worst = max(project_onto_hull(v, ref, tol=tol).distance for v in kept.vertices)
-        if worst > tol:
-            warnings.warn(
-                "inner hull vertices stick out of the reference hull by "
-                f"{math.ldexp(worst, exponent):.3e}",
-                stacklevel=2,
-            )
-    worst = max(project_onto_hull(v, kept, tol=tol).distance for v in ref.vertices)
+    worst = max(project_onto_hull(v, kept).distance for v in ref.vertices)
     return math.ldexp(worst, exponent)
 
 
@@ -255,7 +228,7 @@ def probe_support(hull: VertexPolytope, probes: DirectionSet) -> np.ndarray:
     Judging many outer hulls against one reference, compute this once and
     pass it to :func:`outer_error` as ``h_true``.
     """
-    return np.array([support_value(hull, d) for d in probes.directions])
+    return np.array([float(np.max(hull.vertices @ d)) for d in probes.directions])
 
 
 def outer_support(outer: OuterHull, probes: DirectionSet, interior: np.ndarray) -> np.ndarray:
@@ -284,7 +257,6 @@ def outer_error(
     outer: OuterHull,
     true_extremes: VertexPolytope,
     probes: DirectionSet | None = None,
-    tol: float = 1e-9,
     method: str = "auto",
     h_true: np.ndarray | None = None,
 ) -> OuterErrorResult:
@@ -308,10 +280,10 @@ def outer_error(
     if method == "auto":
         method = EXACT_2D if outer.dim == 2 else SUPPORT_GAP
     if method == EXACT_2D:
-        exponent = _unit_exponent(true_extremes)  # judged as in inner_error
+        exponent = _unit_exponent(true_extremes.vertices)  # judged as in inner_error
         ref = _scaled(true_extremes, exponent)
         verts = np.ldexp(outer_hull_vertices_2d(outer), -exponent)
-        value = max(project_onto_hull(v, ref, tol=tol).distance for v in verts)
+        value = max(project_onto_hull(v, ref).distance for v in verts)
         return OuterErrorResult(value=math.ldexp(value, exponent), method=EXACT_2D, n_probes=0)
     if method != SUPPORT_GAP:
         raise ValueError(f"unknown method {method!r}")

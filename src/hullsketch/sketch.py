@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .directions import DirectionSet
+from .directions import DirectionSet, sample_uniform
 from .geometry import PointCloud
 
 __all__ = [
@@ -20,7 +20,6 @@ __all__ = [
     "InnerHull",
     "OuterHull",
     "build_sketch",
-    "relative_curvature",
     "threshold_filter",
     "outer_hull",
 ]
@@ -62,7 +61,7 @@ class CurvatureSketch:
         return self.counts / float(len(self.dirs))
 
     def to_dict(self) -> dict:
-        """JSON-ready export of the sketch (schema is part of the public API)."""
+        """JSON-ready export of the sketch; :meth:`from_dict` reads it back."""
         return {
             "dim": self.cloud.dim,
             "n_points": len(self.cloud),
@@ -73,6 +72,39 @@ class CurvatureSketch:
             "dirs_method": self.dirs.method,
         }
 
+    @classmethod
+    def from_dict(cls, payload, cloud: PointCloud) -> "CurvatureSketch":
+        """The sketch of ``cloud`` that :meth:`to_dict` exported, directions
+        sampled again from ``dirs_seed``.  Raises ``ValueError`` on missing or
+        non-integer fields, another cloud or method, or counts that do not tally."""
+        keys = ("dim", "n_points", "n_dirs", "counts", "assignment", "dirs_seed", "dirs_method")
+        missing = [k for k in keys if not isinstance(payload, dict) or k not in payload]
+        if missing:
+            raise ValueError(f"sketch lacks {', '.join(missing)}")
+        # JSON integers only: `type(v) is int` refuses bools and floats such as 50.0
+        bad = [k for k in ("dim", "n_points", "n_dirs", "dirs_seed") if type(payload[k]) is not int]
+        bad += [
+            k for k in ("assignment", "counts")
+            if type(payload[k]) is not list or not set(map(type, payload[k])) <= {int}
+        ]
+        if bad:
+            raise ValueError(f"{', '.join(bad)} must be JSON integers")
+        if payload["n_points"] != len(cloud) or payload["dim"] != cloud.dim:
+            raise ValueError("sketch does not match the point file")
+        # checked before sampling, so a corrupt n_dirs cannot allocate n_dirs x dim
+        if payload["n_dirs"] < 1 or len(payload["assignment"]) != payload["n_dirs"]:
+            raise ValueError("n_dirs must be >= 1 and equal len(assignment)")
+        dirs = sample_uniform(payload["n_dirs"], payload["dim"], payload["dirs_seed"])
+        if payload["dirs_method"] != dirs.method:
+            raise ValueError(f"dirs_method is not {dirs.method!r}")
+        assignment = payload["assignment"]
+        if assignment and not 0 <= min(assignment) <= max(assignment) < len(cloud):
+            raise ValueError(f"assignment indexes outside [0, {len(cloud)})")
+        sketch = cls(cloud, dirs, np.asarray(assignment, dtype=np.int64))
+        if not np.array_equal(sketch.counts, payload["counts"]):
+            raise ValueError("counts do not tally the assignment")
+        return sketch
+
 
 @dataclass(frozen=True)
 class InnerHull:
@@ -80,8 +112,6 @@ class InnerHull:
 
     kept_indices: np.ndarray
     curvatures: np.ndarray
-    alpha: float
-    mode: str
 
     def __post_init__(self):
         kept = np.asarray(self.kept_indices, dtype=np.int64).copy()
@@ -224,13 +254,6 @@ def build_sketch(cloud: PointCloud, dirs: DirectionSet) -> CurvatureSketch:
     return CurvatureSketch(cloud, dirs, assignment, scores_formed=formed)
 
 
-def relative_curvature(sketch: CurvatureSketch, v: int) -> float:
-    """Fraction of directions won by point ``v`` (in [0, 1])."""
-    if not 0 <= v < len(sketch.cloud):
-        raise IndexError(f"point index {v} out of range")
-    return float(sketch.counts[v]) / len(sketch.dirs)
-
-
 def threshold_filter(
     sketch: CurvatureSketch,
     alpha: float,
@@ -258,9 +281,7 @@ def threshold_filter(
             draws = rng.random(candidates.size)
             kept_mask[candidates] = draws < curv[candidates] / alpha
     kept = np.flatnonzero(kept_mask).astype(np.int64)
-    return InnerHull(
-        kept_indices=kept, curvatures=curv[kept], alpha=float(alpha), mode=mode
-    )
+    return InnerHull(kept_indices=kept, curvatures=curv[kept])
 
 
 def outer_hull(

@@ -254,6 +254,25 @@ def test_bench_schedule_must_increase(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("flags, named", [
+    (["--shape", "sphere"], "--shape"),
+    (["--transform", "shear.csv"], "--transform"),
+    (["--gen-seed", "5"], "--gen-seed"),
+    (["--shape", "sphere", "--transform", "shear.csv", "--gen-seed", "5"],
+     "--shape, --transform, --gen-seed"),
+])
+def test_bench_rejects_generator_flags_with_in(tmp_path, capsys, flags, named):
+    """The cloud comes from --in, so flags that shape a generated cloud are refused,
+    not silently ignored."""
+    pts_path = gen_simplex(tmp_path, n=100)
+    out = tmp_path / "b.csv"
+    assert run([
+        "bench", "--in", str(pts_path), "--schedule", "20", "--out", str(out), *flags,
+    ]) == 1
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bench_single_entry_matches_sketch_metrics(tmp_path):
     pts_path = gen_simplex(tmp_path, n=150, seed=51)
     assert run([

@@ -70,7 +70,7 @@ def test_cluster_map_partitions_inner_set():
     sketch = build_sketch(cloud, dirs)
     inner = threshold_filter(sketch, 0.0)
     comp, cm = vertex_compress(inner, cloud, beta=0.4)
-    covered = cm.covered_indices()
+    covered = np.sort(np.concatenate(list(cm.members.values())))
     assert covered.tolist() == sorted(inner.kept_indices.tolist())
     total = sum(len(v) for v in cm.members.values())
     assert total == len(inner)  # disjoint by partition

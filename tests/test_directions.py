@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import ndtri
 
-from hullsketch import PointCloud, build_sketch, concat, sample_uniform
+from hullsketch import PointCloud, build_sketch, sample_uniform
 from hullsketch import directions
 from hullsketch.directions import DirectionSet, _ndtri
 
@@ -53,32 +53,12 @@ def test_dimension_lower_bound():
         sample_uniform(0, 3, seed=0)
 
 
-def test_concat_preserves_prefix():
-    a = sample_uniform(10, 3, seed=3)
-    b = sample_uniform(5, 3, seed=4)
-    c = concat(a, b)
-    assert len(c) == 15
-    assert np.array_equal(c.directions[:10], a.directions)
-    assert np.array_equal(c.directions[10:], b.directions)
-
-
-def test_concat_singletons():
-    a = sample_uniform(1, 2, seed=0)
-    b = sample_uniform(1, 2, seed=1)
-    assert len(concat(a, b)) == 2
-
-
-def test_concat_dim_mismatch():
-    with pytest.raises(ValueError):
-        concat(sample_uniform(3, 2, seed=0), sample_uniform(3, 3, seed=0))
-
-
 def test_sketch_counts_add_over_concat():
     rng = np.random.default_rng(8)
     cloud = PointCloud(rng.standard_normal((60, 3)))
     a = sample_uniform(40, 3, seed=10)
     b = sample_uniform(25, 3, seed=11)
-    both = build_sketch(cloud, concat(a, b))
+    both = build_sketch(cloud, DirectionSet(np.vstack([a.directions, b.directions]), seed=10))
     separate = build_sketch(cloud, a).counts + build_sketch(cloud, b).counts
     assert np.array_equal(both.counts, separate)
 

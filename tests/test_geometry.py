@@ -6,19 +6,19 @@ from hypothesis import given, settings, strategies as st
 
 from hullsketch import (
     ConvergenceError,
+    DirectionSet,
     PointCloud,
     ShapeSpec,
     VertexPolytope,
+    build_sketch,
     exact_extreme_points,
     generate,
     geometry,
     hausdorff,
-    min_norm_point,
     project_onto_hull,
-    support,
-    support_value,
 )
 from hullsketch.datagen import SHAPE_KINDS
+from hullsketch.metrics import probe_support
 
 from oracles import grid_min_distance, lp_extreme_indices, monotone_chain_indices
 
@@ -26,44 +26,43 @@ SQUARE = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
 TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
 
+def one_direction(d) -> DirectionSet:
+    d = np.asarray(d, dtype=np.float64)
+    return DirectionSet(d[None, :] / np.linalg.norm(d), seed=0)
+
+
+def winner(cloud: PointCloud, d) -> int:
+    """The support query: the sketch's winner for the single direction ``d``."""
+    return int(build_sketch(cloud, one_direction(d)).assignment[0])
+
+
 def test_support_axis_aligned():
-    cloud = PointCloud([[0, 0], [1, 0], [0, 1]])
-    idx, val = support(cloud, np.array([1.0, 0.0]))
-    assert idx == 1
-    assert val == 1.0
+    assert winner(PointCloud([[0, 0], [1, 0], [0, 1]]), [1.0, 0.0]) == 1
 
 
 def test_support_diagonal():
-    cloud = PointCloud([[-1, -1], [1, 1]])
-    idx, val = support(cloud, np.array([1.0, 1.0]))
-    assert idx == 1
-    assert val == 2.0
+    assert winner(PointCloud([[-1, -1], [1, 1]]), [1.0, 1.0]) == 1
 
 
 def test_support_matches_exhaustive_scan():
     rng = np.random.default_rng(42)
     pts = rng.random((1000, 3))
-    cloud = PointCloud(pts)
     d = np.array([1.0, 0.0, 0.0])
-    idx, val = support(cloud, d)
     scores = [float(np.dot(x, d)) for x in pts]
-    assert idx == int(np.argmax(scores))
-    assert val == pytest.approx(max(scores))
+    assert winner(PointCloud(pts), d) == int(np.argmax(scores))
 
 
 def test_support_tie_breaks_to_smallest_index():
     cloud = PointCloud([[1, 1], [1, -1], [-1, 1], [-1, -1]])
-    idx, val = support(cloud, np.array([1.0, 0.0]))
-    assert idx == 0  # (1,1) and (1,-1) tie; smaller index wins
-    assert val == 1.0
+    assert winner(cloud, [1.0, 0.0]) == 0  # (1,1) and (1,-1) tie; smaller index wins
 
 
 def test_support_errors():
     cloud = PointCloud([[0, 0], [1, 0]])
     with pytest.raises(ValueError):
-        support(cloud, np.array([1.0, 0.0, 0.0]))
+        build_sketch(cloud, one_direction([1.0, 0.0, 0.0]))
     with pytest.raises(ValueError):
-        support(cloud, np.array([np.nan, 0.0]))
+        DirectionSet(np.array([[np.nan, 0.0]]), seed=0)
 
 
 @settings(max_examples=30, deadline=None)
@@ -73,22 +72,23 @@ def test_support_value_invariant_under_permutation(seed):
     pts = rng.standard_normal((20, 3))
     d = rng.standard_normal(3)
     perm = rng.permutation(20)
-    _, v1 = support(PointCloud(pts), d)
-    idx2, v2 = support(PointCloud(pts[perm]), d)
-    assert v1 == v2
-    scores = pts @ d
+    dirs = one_direction(d)
+    v1 = probe_support(VertexPolytope(pts), dirs)[0]
+    assert probe_support(VertexPolytope(pts[perm]), dirs)[0] == v1
+    scores = pts @ dirs.directions[0]
+    idx2 = winner(PointCloud(pts[perm]), d)
     assert scores[perm[idx2]] == v1  # permuted winner is an original argmax
 
 
 def test_min_norm_segment_endpoint():
     hull = VertexPolytope([[0.0, 0.0], [1.0, 0.0]])
-    point, dist = min_norm_point(np.array([2.0, 0.0]), hull)
-    assert dist == pytest.approx(1.0, abs=1e-9)
-    assert np.allclose(point, [1.0, 0.0], atol=1e-9)
+    res = project_onto_hull(np.array([2.0, 0.0]), hull)
+    assert res.distance == pytest.approx(1.0, abs=1e-9)
+    assert np.allclose(res.point, [1.0, 0.0], atol=1e-9)
 
 
 def test_min_norm_triangle_analytic():
-    point, dist = min_norm_point(np.array([1.0, 1.0]), VertexPolytope(TRIANGLE))
+    dist = project_onto_hull(np.array([1.0, 1.0]), VertexPolytope(TRIANGLE)).distance
     assert dist == pytest.approx(1 / math.sqrt(2), abs=1e-9)
     # brute-force barycentric grid agrees to grid resolution
     grid = grid_min_distance(np.array([1.0, 1.0]), TRIANGLE, steps=400)
@@ -96,8 +96,7 @@ def test_min_norm_triangle_analytic():
 
 
 def test_min_norm_inside_hull_is_zero():
-    _, dist = min_norm_point(np.array([0.2, 0.3]), VertexPolytope(TRIANGLE))
-    assert dist <= 1e-9
+    assert project_onto_hull(np.array([0.2, 0.3]), VertexPolytope(TRIANGLE)).distance <= 1e-9
 
 
 @settings(max_examples=25, deadline=None)
@@ -281,18 +280,19 @@ def test_pushed_and_flat_clouds_exercise_the_intended_paths():
 
 
 def test_support_value_square():
-    square = VertexPolytope(SQUARE)
-    assert support_value(square, np.array([1.0, 0.0])) == 1.0
-    d = np.array([1.0, 1.0]) / math.sqrt(2)
-    assert support_value(square, d) == pytest.approx(math.sqrt(2))
+    dirs = DirectionSet(np.array([[1.0, 0.0], [1.0, 1.0]]) / [[1.0], [math.sqrt(2)]], seed=0)
+    h = probe_support(VertexPolytope(SQUARE), dirs)
+    assert h[0] == 1.0
+    assert h[1] == pytest.approx(math.sqrt(2))
 
 
 def test_support_value_matches_support_op():
     rng = np.random.default_rng(5)
     pts = rng.standard_normal((30, 4))
     d = rng.standard_normal(4)
-    _, val = support(PointCloud(pts), d)
-    assert support_value(VertexPolytope(pts), d) == val
+    dirs = one_direction(d)
+    idx = winner(PointCloud(pts), d)
+    assert probe_support(VertexPolytope(pts), dirs)[0] == (pts @ dirs.directions[0])[idx]
 
 
 def test_pointcloud_validation():

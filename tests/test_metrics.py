@@ -65,13 +65,6 @@ def test_inner_error_missing_corner_analytic():
     assert abs(val - grid) <= 5e-3
 
 
-def test_inner_error_warns_when_not_contained():
-    true = VertexPolytope([[0, 0], [1, 0], [0, 1]])
-    sticking_out = VertexPolytope([[0, 0], [2.0, 0]])
-    with pytest.warns(UserWarning):
-        inner_error(true, sticking_out)
-
-
 def test_inner_error_dim_mismatch():
     with pytest.raises(ValueError):
         inner_error(VertexPolytope(SQUARE), VertexPolytope([[0.0, 0, 0]]))
@@ -202,9 +195,7 @@ def test_errors_non_increasing_over_nested_directions():
         prefix = dirs.prefix(m)
         sub = build_sketch(cloud, prefix)
         inner = threshold_filter(sub, 0.0)
-        inner_vals.append(
-            inner_error(reference, VertexPolytope(inner.select(cloud)), check_containment=False)
-        )
+        inner_vals.append(inner_error(reference, VertexPolytope(inner.select(cloud))))
         outer_vals.append(outer_error(outer_hull(sub, cloud, prefix), reference).value)
     assert all(b <= a + 1e-9 for a, b in zip(inner_vals, inner_vals[1:]))
     assert all(b <= a + 1e-9 for a, b in zip(outer_vals, outer_vals[1:]))
@@ -220,7 +211,7 @@ def test_error_report_round_trip():
         n_found=61,
         n_kept=34,
     )
-    back = json.loads(rep.to_json())
+    back = json.loads(json.dumps(rep.to_dict()))
     assert back["inner_error"] == 0.25
     assert back["n_found"] == 61
     with pytest.raises(ValueError):

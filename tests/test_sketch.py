@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -9,10 +10,8 @@ from hullsketch import (
     PointCloud,
     build_sketch,
     chebyshev_bound,
-    concat,
     exact_extreme_points,
     outer_hull,
-    relative_curvature,
     sample_uniform,
     threshold_filter,
 )
@@ -108,18 +107,10 @@ def test_dim_mismatch():
         build_sketch(SQUARE, sample_uniform(10, 3, seed=0))
 
 
-def test_relative_curvature_edges():
-    sk = crafted_sketch([3, 0, 7], 10)
-    assert relative_curvature(sk, 1) == 0.0
-    assert relative_curvature(sk, 2) == 0.7
-    with pytest.raises(IndexError):
-        relative_curvature(sk, 5)
-
-
 def test_singleton_cloud_takes_all():
     cloud = PointCloud([[2.0, 3.0]])
     sk = build_sketch(cloud, sample_uniform(64, 2, seed=4))
-    assert relative_curvature(sk, 0) == 1.0
+    assert sk.curvatures().tolist() == [1.0]
 
 
 def test_threshold_hard_arithmetic():
@@ -228,7 +219,7 @@ def test_monotone_refinement_under_concat():
     cloud = PointCloud(rng.standard_normal((120, 3)))
     d1 = sample_uniform(100, 3, seed=28)
     d2 = sample_uniform(60, 3, seed=29)
-    both = concat(d1, d2)
+    both = DirectionSet(np.vstack([d1.directions, d2.directions]), seed=28)
     sk1 = build_sketch(cloud, d1)
     sk12 = build_sketch(cloud, both)
     assert np.all(sk12.counts >= sk1.counts)
@@ -265,6 +256,17 @@ def test_export_schema():
     assert payload["n_dirs"] == 4
     assert payload["counts"] == [1, 1, 1, 1]
     assert len(payload["assignment"]) == 4
+
+
+def test_from_dict_reads_back_what_to_dict_wrote():
+    rng = np.random.default_rng(41)
+    cloud = PointCloud(rng.standard_normal((50, 3)))
+    sk = build_sketch(cloud, sample_uniform(80, 3, seed=42))
+    back = CurvatureSketch.from_dict(json.loads(json.dumps(sk.to_dict())), cloud)
+    assert np.array_equal(back.assignment, sk.assignment)
+    assert np.array_equal(back.dirs.directions, sk.dirs.directions)
+    with pytest.raises(ValueError, match="does not match"):
+        CurvatureSketch.from_dict(sk.to_dict(), PointCloud(cloud.points[:-1]))
 
 
 def test_sketch_validation():
