@@ -38,12 +38,10 @@ from .geometry import (
 )
 from .metrics import (
     EmptyOuterHullError,
-    ErrorReport,
     OuterErrorResult,
     UnboundedOuterHullError,
     inner_error,
     outer_error,
-    outer_hull_vertices_2d,
 )
 from .sketch import (
     CurvatureSketch,
@@ -62,7 +60,6 @@ __all__ = [
     "CurvatureSketch",
     "DirectionSet",
     "EmptyOuterHullError",
-    "ErrorReport",
     "InnerHull",
     "NoConstraintsSurvivedError",
     "OuterErrorResult",
@@ -86,7 +83,6 @@ __all__ = [
     "inner_error",
     "outer_error",
     "outer_hull",
-    "outer_hull_vertices_2d",
     "project_onto_hull",
     "sample_uniform",
     "sphere_surface_measure",

@@ -35,7 +35,6 @@ from .geometry import (
 from .io import read_halfspaces, read_matrix, write_halfspaces, write_matrix
 from .metrics import (
     EmptyOuterHullError,
-    ErrorReport,
     UnboundedOuterHullError,
     inner_error,
     outer_error,
@@ -299,22 +298,25 @@ def cmd_error(args) -> None:
     if args.sketch_json is not None:
         n_found = int(np.count_nonzero(_sketch_from_json(args.sketch_json, cloud).counts))
 
-    report = ErrorReport(
-        inner_error=inner_val,
-        outer_error=outer_val,
-        outer_method=outer_method,
-        n_probes=n_probes,
-        n_dirs_used=len(offsets),
-        n_found=n_found,
-        n_kept=kept.shape[0],
-    )
-    payload = report.to_dict()
-    payload["reference"] = reference_tag
-    payload["reference_vertices"] = len(reference)
-    _write_json(args.out, payload)
+    _write_json(args.out, {
+        "inner_error": inner_val,
+        "outer_error": outer_val,
+        "outer_method": outer_method,
+        "n_probes": n_probes,
+        "n_dirs_used": len(offsets),
+        "n_found": n_found,
+        "n_kept": kept.shape[0],
+        "reference": reference_tag,
+        "reference_vertices": len(reference),
+    })
 
 
 def cmd_bounds(args) -> None:
+    given = [f"--{f}" for f in ("omega", "k", "m", "theta") if getattr(args, f) is not None]
+    if args.sweep and given:
+        raise CliValidationError(f"bounds --sweep writes fixed curves; drop {', '.join(given)}")
+    if (args.k is None) != (args.m is None):
+        raise CliValidationError("bounds needs --k and --m together for the Chebyshev bound")
     if args.sweep:
         if args.out is None:
             raise CliValidationError("--sweep needs --out for the CSV")
@@ -332,7 +334,7 @@ def cmd_bounds(args) -> None:
         return
 
     out: dict = {"params": {"n": args.n, "r": args.r, "p": args.p, "eps": args.eps, "x_count": args.x_count}}
-    if args.k is not None and args.m is not None:
+    if args.k is not None:
         out["chebyshev"] = chebyshev_bound(args.k, args.m, args.eps)
     if args.omega is not None:
         out["direction_count"] = direction_count_bound(args.omega, args.p)

@@ -255,5 +255,5 @@ def hyperplane_compress(
             merged.append(chosen[comp[0]])
         else:
             merged.append(mean / norm)
-    final_dirs = DirectionSet(np.asarray(merged), seed=dirs.seed, method=dirs.method)
+    final_dirs = DirectionSet(np.asarray(merged), seed=dirs.seed)
     return outer_hull(build_sketch(cloud, final_dirs), cloud, final_dirs)

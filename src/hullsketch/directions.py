@@ -24,13 +24,12 @@ GAUSSIAN_UNIFORM = "gaussian-uniform"
 class DirectionSet:
     """A finite set of unit vectors with its RNG provenance.
 
-    ``seed``/``method`` record how the set was produced; the ``directions``
-    array itself is authoritative.  Instances are immutable and safe to share.
+    ``seed`` records how the set was produced; the ``directions`` array
+    itself is authoritative.  Instances are immutable and safe to share.
     """
 
     directions: np.ndarray
     seed: int
-    method: str = GAUSSIAN_UNIFORM
 
     def __post_init__(self):
         arr = np.array(self.directions, dtype=np.float64, copy=True)
@@ -61,7 +60,7 @@ class DirectionSet:
         """
         if not 1 <= m <= len(self):
             raise ValueError(f"prefix length {m} out of range 1..{len(self)}")
-        return DirectionSet(self.directions[:m], seed=self.seed, method=self.method)
+        return DirectionSet(self.directions[:m], seed=self.seed)
 
 
 # Cephes ndtri coefficients, highest power first; a p1evl table omits its
@@ -167,4 +166,4 @@ def sample_uniform(m: int, n: int, seed: int) -> DirectionSet:
         raw[bad] = _ndtri(rng.random((k, n)))
         norms = np.linalg.norm(raw, axis=1)
         bad = ~np.isfinite(norms) | (norms == 0.0)
-    return DirectionSet(raw / norms[:, None], seed=seed, method=GAUSSIAN_UNIFORM)
+    return DirectionSet(raw / norms[:, None], seed=seed)

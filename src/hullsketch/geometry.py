@@ -114,15 +114,12 @@ class ProjectionResult:
     """Outcome of projecting a point onto a vertex polytope.
 
     ``weights`` is a dense convex-combination vector over the polytope's
-    vertices reconstructing ``point``; ``gap`` is the final support-gap
-    certificate (an upper bound on how far ``distance`` can exceed the
-    true minimum distance, divided by ``distance``).
+    vertices reconstructing ``point``.
     """
 
     point: np.ndarray
     distance: float
     weights: np.ndarray
-    gap: float
     iterations: int
 
 
@@ -191,8 +188,6 @@ def project_onto_hull(x, hull: VertexPolytope, max_iter: int | None = None) -> P
         if stall >= 100:  # cycling within rounding noise
             break
         if iterations > max_iter:
-            weights = np.zeros(n_vert)
-            weights[np.asarray(corral)] = lam
             raise ConvergenceError(
                 f"projection did not converge in {max_iter} iterations (gap={gap:.3e})",
                 point=y + x,
@@ -236,7 +231,6 @@ def project_onto_hull(x, hull: VertexPolytope, max_iter: int | None = None) -> P
         point=point,
         distance=float(np.linalg.norm(y)),
         weights=weights,
-        gap=gap,
         iterations=iterations,
     )
 

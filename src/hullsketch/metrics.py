@@ -28,7 +28,7 @@ for the same reason.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,12 +38,10 @@ from .sketch import OuterHull
 
 __all__ = [
     "EmptyOuterHullError",
-    "ErrorReport",
     "OuterErrorResult",
     "UnboundedOuterHullError",
     "inner_error",
     "outer_error",
-    "outer_hull_vertices_2d",
     "outer_support",
     "probe_support",
     "support_under_constraints",
@@ -51,6 +49,9 @@ __all__ = [
 
 EXACT_2D = "exact-2d"
 SUPPORT_GAP = "support-gap-estimate"
+# 2-d vertex enumeration keeps the crossings feasible to this fraction of the
+# largest offset
+_FEAS_TOL = 1e-7
 
 
 class UnboundedOuterHullError(RuntimeError):
@@ -66,26 +67,6 @@ class OuterErrorResult:
     value: float
     method: str
     n_probes: int
-
-
-@dataclass(frozen=True)
-class ErrorReport:
-    """One run's error metrics, JSON-serialisable for summaries and benches."""
-
-    inner_error: float
-    outer_error: float | None
-    outer_method: str | None
-    n_probes: int
-    n_dirs_used: int
-    n_found: int
-    n_kept: int
-
-    def __post_init__(self):
-        if self.inner_error < 0 or (self.outer_error is not None and self.outer_error < 0):
-            raise ValueError("errors must be nonnegative")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _scaled(poly: VertexPolytope, exponent: int) -> VertexPolytope:
@@ -109,16 +90,14 @@ def inner_error(true_extremes: VertexPolytope, inner: VertexPolytope) -> float:
     return math.ldexp(worst, exponent)
 
 
-def outer_hull_vertices_2d(outer: OuterHull, feas_tol: float = 1e-7) -> np.ndarray:
+def _outer_vertices_2d(outer: OuterHull) -> np.ndarray:
     """Enumerate the vertices of a bounded 2-d halfspace intersection.
 
     Intersects every constraint pair and keeps the crossings feasible to
-    ``feas_tol`` times the largest offset.  Raises :class:`UnboundedOuterHullError`
+    ``_FEAS_TOL`` times the largest offset.  Raises :class:`UnboundedOuterHullError`
     when the normals leave an angular gap of at least pi (then a recession
     direction exists).
     """
-    if outer.dim != 2:
-        raise ValueError("vertex enumeration is only available in dimension 2")
     normals = outer.normals
     offsets = outer.offsets
     angles = np.sort(np.arctan2(normals[:, 1], normals[:, 0]))
@@ -143,7 +122,7 @@ def outer_hull_vertices_2d(outer: OuterHull, feas_tol: float = 1e-7) -> np.ndarr
     kept = []
     for c0 in range(0, cand.shape[0], chunk):
         part = cand[c0 : c0 + chunk]
-        good = np.all(part @ normals.T - offsets <= feas_tol * scale, axis=1)
+        good = np.all(part @ normals.T - offsets <= _FEAS_TOL * scale, axis=1)
         if np.any(good):
             kept.append(part[good])
     if not kept:  # a bounded, nonempty polygon has a vertex
@@ -257,19 +236,18 @@ def outer_error(
     outer: OuterHull,
     true_extremes: VertexPolytope,
     probes: DirectionSet | None = None,
-    method: str = "auto",
     h_true: np.ndarray | None = None,
 ) -> OuterErrorResult:
     """Distance from the outer (halfspace) hull to the reference hull.
 
-    ``method="auto"`` picks the exact vertex enumeration in dimension 2 and
-    the support-gap estimate otherwise.  The estimate is
-    ``max_d h_outer(d) - h_true(d)`` over the probe set; since the bodies are
-    nested it converges to the Hausdorff distance as probes densify.
-    ``h_outer`` is a max over the outer hull's vertices in 3-d, with the
-    reference centroid as Qhull's interior point, and one LP per probe in
-    4-d and up or when that centroid is not safely inside every halfspace
-    (see :func:`outer_support`).  ``h_true`` may pass
+    Exact in dimension 2: the largest distance from a vertex of the outer
+    hull to the reference, with ``probes`` unused.  Otherwise the support-gap
+    estimate ``max_d h_outer(d) - h_true(d)`` over the probe set; since the
+    bodies are nested it converges to the Hausdorff distance as probes
+    densify.  ``h_outer`` is a max over the outer hull's vertices in 3-d,
+    with the reference centroid as Qhull's interior point, and one LP per
+    probe in 4-d and up or when that centroid is not safely inside every
+    halfspace (see :func:`outer_support`).  ``h_true`` may pass
     ``probe_support(true_extremes, probes)`` computed once for many outer
     hulls.  An unbounded intersection raises
     :class:`UnboundedOuterHullError`, an empty one
@@ -277,16 +255,12 @@ def outer_error(
     """
     if outer.dim != true_extremes.dim:
         raise ValueError("dimension mismatch")
-    if method == "auto":
-        method = EXACT_2D if outer.dim == 2 else SUPPORT_GAP
-    if method == EXACT_2D:
+    if outer.dim == 2:
         exponent = _unit_exponent(true_extremes.vertices)  # judged as in inner_error
         ref = _scaled(true_extremes, exponent)
-        verts = np.ldexp(outer_hull_vertices_2d(outer), -exponent)
+        verts = np.ldexp(_outer_vertices_2d(outer), -exponent)
         value = max(project_onto_hull(v, ref).distance for v in verts)
         return OuterErrorResult(value=math.ldexp(value, exponent), method=EXACT_2D, n_probes=0)
-    if method != SUPPORT_GAP:
-        raise ValueError(f"unknown method {method!r}")
     if probes is None:
         raise ValueError("probe directions are required for the support-gap estimate")
     if probes.dim != outer.dim:

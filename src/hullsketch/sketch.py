@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .directions import DirectionSet, sample_uniform
+from .directions import GAUSSIAN_UNIFORM, DirectionSet, sample_uniform
 from .geometry import PointCloud
 
 __all__ = [
@@ -69,7 +69,7 @@ class CurvatureSketch:
             "counts": self.counts.tolist(),
             "assignment": self.assignment.tolist(),
             "dirs_seed": self.dirs.seed,
-            "dirs_method": self.dirs.method,
+            "dirs_method": GAUSSIAN_UNIFORM,
         }
 
     @classmethod
@@ -94,9 +94,9 @@ class CurvatureSketch:
         # checked before sampling, so a corrupt n_dirs cannot allocate n_dirs x dim
         if payload["n_dirs"] < 1 or len(payload["assignment"]) != payload["n_dirs"]:
             raise ValueError("n_dirs must be >= 1 and equal len(assignment)")
+        if payload["dirs_method"] != GAUSSIAN_UNIFORM:
+            raise ValueError(f"dirs_method is not {GAUSSIAN_UNIFORM!r}")
         dirs = sample_uniform(payload["n_dirs"], payload["dim"], payload["dirs_seed"])
-        if payload["dirs_method"] != dirs.method:
-            raise ValueError(f"dirs_method is not {dirs.method!r}")
         assignment = payload["assignment"]
         if assignment and not 0 <= min(assignment) <= max(assignment) < len(cloud):
             raise ValueError(f"assignment indexes outside [0, {len(cloud)})")
@@ -145,6 +145,8 @@ class OuterHull:
             raise ValueError("normals must be a nonempty (M, dim) array")
         if offsets.shape != (normals.shape[0],):
             raise ValueError("offsets must align with normals")
+        if not (np.all(np.isfinite(normals)) and np.all(np.isfinite(offsets))):
+            raise ValueError("halfspace normals and offsets must be finite")
         if np.any(np.abs(np.linalg.norm(normals, axis=1) - 1.0) > 1e-9):
             raise ValueError("all normals must be unit length")
         for a in (normals, offsets):
@@ -158,12 +160,6 @@ class OuterHull:
 
     def __len__(self) -> int:
         return self.normals.shape[0]
-
-    def contains(self, points, tol: float = 1e-9) -> np.ndarray:
-        """Boolean feasibility of each row of ``points`` against all constraints."""
-        pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        margins = pts @ self.normals.T - self.offsets
-        return np.all(margins <= tol, axis=1)
 
 
 def _morton_order(pts: np.ndarray) -> np.ndarray:

@@ -182,6 +182,26 @@ def mc_cap_fraction(theta: float, n: int, samples: int, seed: int) -> float:
     return float(np.mean(g[:, 0] >= math.cos(theta)))
 
 
+def support_gap(outer, ref, probes) -> float:
+    """Support-gap estimate ``max_d h_outer(d) - h_ref(d)``, floored at 0.
+
+    Built from the library's support functions, which other tests check on
+    their own, so that 2-d outer hulls, whose ``outer_error`` is exact, can
+    still be compared with the estimate.
+    """
+    from hullsketch.metrics import outer_support, probe_support
+
+    h_out = outer_support(outer, probes, ref.vertices.mean(axis=0))
+    return float(np.max(h_out - probe_support(ref, probes), initial=0.0))
+
+
+def satisfies(outer, points) -> bool:
+    """Whether every row of ``points`` meets every halfspace of ``outer``
+    to within 1e-9."""
+    margins = np.atleast_2d(points) @ outer.normals.T - outer.offsets
+    return bool(margins.max() <= 1e-9)
+
+
 def grid_min_distance(x: np.ndarray, triangle: np.ndarray, steps: int = 400) -> float:
     """Brute-force distance from ``x`` to a filled triangle via barycentric grid."""
     best = math.inf

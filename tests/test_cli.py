@@ -245,6 +245,23 @@ def test_bounds_sweep_csv(tmp_path):
     assert any(line.startswith("direction-count") for line in lines[1:])
 
 
+@pytest.mark.parametrize("flags, named", [
+    (["--sweep", "--omega", "0.3"], "drop --omega"),
+    (["--sweep", "--omega", "0.3", "--k", "0.2", "--m", "10", "--theta", "1"],
+     "drop --omega, --k, --m, --theta"),
+    (["--k", "0.2"], "--k and --m together"),
+    (["--m", "10"], "--k and --m together"),
+    (["--omega", "0.25", "--k", "0.2"], "--k and --m together"),
+])
+def test_bounds_rejects_flags_it_would_ignore(tmp_path, capsys, flags, named):
+    """--sweep writes fixed curves and the Chebyshev bound needs both --k and
+    --m, so a flag that would change nothing is refused, not silently ignored."""
+    out = tmp_path / "bounds.out"
+    assert run(["bounds", *flags, "--out", str(out)]) == 1
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bench_schedule_must_increase(tmp_path):
     pts_path = gen_simplex(tmp_path, n=100)
     code = run([
@@ -510,6 +527,32 @@ def test_bench_outer_error_equals_error_command(tmp_path, shape, dims, seed, cap
     assert rows[0]["reference"] == report["reference"]
     assert rows[0]["inner_error"] == report["inner_error"]
     assert rows[0]["outer_error"] == report["outer_error"]
+
+
+@pytest.mark.parametrize("dims", [2, 3])
+@pytest.mark.parametrize("column, value", [(-1, "inf"), (-1, "-inf"), (-1, "nan"), (0, "nan")])
+def test_error_rejects_non_finite_halfspaces(tmp_path, capsys, dims, column, value):
+    # An infinite offset once gave an outer error of 1e5 with exit 0, a NaN
+    # one "outer hull is empty" (2-d) or a solver's message (3-d).
+    pts_path = tmp_path / "pts.csv"
+    assert run([
+        "gen", "--shape", "ball", "--dims", str(dims), "--points", "300",
+        "--seed", "1", "--out", str(pts_path),
+    ]) == 0
+    assert run([
+        "sketch", "--in", str(pts_path), "--dirs", "100", "--seed", "2",
+        "--out-prefix", str(tmp_path / "s"),
+    ]) == 0
+    halfspaces = read_matrix(tmp_path / "s_halfspaces.csv")
+    halfspaces[0, column] = float(value)
+    write_matrix(tmp_path / "bad.csv", halfspaces)
+    out = tmp_path / "report.json"
+    assert run([
+        "error", "--in", str(pts_path), "--inner", str(tmp_path / "s_inner.csv"),
+        "--halfspaces", str(tmp_path / "bad.csv"), "--probes", "10", "--out", str(out),
+    ]) == 1
+    assert capsys.readouterr().err == "error: halfspace normals and offsets must be finite\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("dims", [2, 3])

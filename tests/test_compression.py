@@ -17,6 +17,8 @@ from hullsketch import (
     vertex_compress,
 )
 
+from oracles import satisfies
+
 
 def crafted(points, counts, n_dirs, seed=0):
     cloud = PointCloud(points)
@@ -125,7 +127,7 @@ def test_hyperplane_square_cloud_compresses():
     cloud = PointCloud(rng.random((5000, 2)) * 2 - 1)
     _, _, hull = run_hyperplane(cloud, 2000, beta=0.3, seed=9, inner_alpha=0.1)
     assert 3 <= len(hull) < 200  # far below the 2000 raw constraints
-    assert bool(hull.contains(cloud.points, tol=1e-9).all())
+    assert satisfies(hull, cloud.points)
 
 
 def test_hyperplane_identity_limit_reproduces_raw_outer_hull():
@@ -158,7 +160,7 @@ def test_hyperplane_recovers_triangle_facets():
         assert angles.min() <= 5.0
         matched.add(int(angles.argmin()))
     assert matched == {0, 1, 2}  # one cluster per facet
-    assert bool(hull.contains(cloud.points, tol=1e-9).all())
+    assert satisfies(hull, cloud.points)
 
 
 def test_merge_angle_monotonicity():
@@ -225,7 +227,7 @@ def test_gamma_variant_matches_naive_criterion():
     got_sorted = hull.normals[np.lexsort(hull.normals.T)]
     exp_sorted = expect[np.lexsort(expect.T)]
     assert np.allclose(got_sorted, exp_sorted, atol=1e-12)
-    assert bool(hull.contains(cloud.points, tol=1e-9).all())
+    assert satisfies(hull, cloud.points)
 
 
 def test_gamma_variant_too_tight_raises():

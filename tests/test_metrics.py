@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -7,7 +6,6 @@ import pytest
 from hullsketch import (
     DirectionSet,
     EmptyOuterHullError,
-    ErrorReport,
     OuterHull,
     PointCloud,
     UnboundedOuterHullError,
@@ -16,7 +14,6 @@ from hullsketch import (
     inner_error,
     outer_error,
     outer_hull,
-    outer_hull_vertices_2d,
     sample_uniform,
     threshold_filter,
 )
@@ -30,7 +27,7 @@ from hullsketch.metrics import (
     support_under_constraints,
 )
 
-from oracles import grid_min_distance
+from oracles import grid_min_distance, support_gap
 
 SQUARE = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
 CUBE = np.array([[x, y, z] for x in (-1.0, 1.0) for y in (-1.0, 1.0) for z in (-1.0, 1.0)])
@@ -84,12 +81,25 @@ def test_outer_error_rotated_square_exact():
 def test_support_gap_close_to_exact_2d():
     outer = rotated_square_outer()
     probes = sample_uniform(10_000, 2, seed=5)
-    est = outer_error(outer, VertexPolytope(SQUARE), probes, method=SUPPORT_GAP)
+    est = support_gap(outer, VertexPolytope(SQUARE), probes)
     exact = outer_error(outer, VertexPolytope(SQUARE))
-    assert est.method == SUPPORT_GAP
-    assert est.n_probes == 10_000
-    assert est.value >= 0.99 * exact.value
-    assert est.value <= exact.value + 1e-9
+    assert est >= 0.99 * exact.value
+    assert est <= exact.value + 1e-9
+
+
+def test_outer_error_is_exact_in_2d_with_probes_too():
+    outer = rotated_square_outer()
+    with_probes = outer_error(outer, VertexPolytope(SQUARE), sample_uniform(50, 2, seed=5))
+    assert with_probes.method == EXACT_2D
+    assert with_probes.n_probes == 0
+    assert with_probes == outer_error(outer, VertexPolytope(SQUARE))
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+def test_outer_error_needs_probes_above_2d(dim):
+    outer = make_outer(np.vstack([np.eye(dim), -np.eye(dim)]), np.ones(2 * dim))
+    with pytest.raises(ValueError, match="probe directions are required"):
+        outer_error(outer, VertexPolytope(np.eye(dim)))
 
 
 def test_triangle_face_normals_give_exact_outer_hull():
@@ -102,8 +112,7 @@ def test_triangle_face_normals_give_exact_outer_hull():
     assert res.value <= 1e-9
     # support-gap sweep agrees: no probe sees the outer hull reach beyond
     probes = sample_uniform(2000, 2, seed=3)
-    est = outer_error(hull, VertexPolytope(tri.points), probes, method=SUPPORT_GAP)
-    assert est.value <= 1e-9
+    assert support_gap(hull, VertexPolytope(tri.points), probes) <= 1e-9
 
 
 def test_support_gap_agrees_with_exact_on_random_instance():
@@ -113,10 +122,7 @@ def test_support_gap_agrees_with_exact_on_random_instance():
     sk = build_sketch(cloud, dirs)
     hull = outer_hull(sk, cloud, dirs)
     exact = outer_error(hull, VertexPolytope(cloud.points)).value
-    est = outer_error(
-        hull, VertexPolytope(cloud.points), sample_uniform(10_000, 2, seed=14),
-        method=SUPPORT_GAP,
-    ).value
+    est = support_gap(hull, VertexPolytope(cloud.points), sample_uniform(10_000, 2, seed=14))
     assert est <= exact + 1e-9
     assert est >= 0.99 * exact
 
@@ -127,6 +133,8 @@ def test_support_gap_3d_cube_vs_octahedron():
     octa = VertexPolytope(np.vstack([np.eye(3), -np.eye(3)]))
     probes = sample_uniform(4000, 3, seed=6)
     est = outer_error(outer, octa, probes)
+    assert est.method == SUPPORT_GAP
+    assert est.n_probes == 4000
     exact = 2.0 / math.sqrt(3)  # cube corner to the octahedron facet
     assert est.value <= exact + 1e-9
     assert est.value >= 0.97 * exact
@@ -136,8 +144,7 @@ def test_support_gap_monotone_in_probes():
     outer = rotated_square_outer()
     probes = sample_uniform(512, 2, seed=7)
     vals = [
-        outer_error(outer, VertexPolytope(SQUARE), probes.prefix(m), method=SUPPORT_GAP).value
-        for m in (8, 32, 128, 512)
+        support_gap(outer, VertexPolytope(SQUARE), probes.prefix(m)) for m in (8, 32, 128, 512)
     ]
     assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
@@ -172,7 +179,7 @@ def test_empty_2d_raises():
 
 
 def test_outer_vertices_2d_enumeration():
-    verts = outer_hull_vertices_2d(rotated_square_outer())
+    verts = metrics._outer_vertices_2d(rotated_square_outer())
     expect = {(2, 0), (0, 2), (-2, 0), (0, -2)}
     got = {tuple(np.round(v, 9)) for v in verts}
     assert got == expect
@@ -199,26 +206,6 @@ def test_errors_non_increasing_over_nested_directions():
         outer_vals.append(outer_error(outer_hull(sub, cloud, prefix), reference).value)
     assert all(b <= a + 1e-9 for a, b in zip(inner_vals, inner_vals[1:]))
     assert all(b <= a + 1e-9 for a, b in zip(outer_vals, outer_vals[1:]))
-
-
-def test_error_report_round_trip():
-    rep = ErrorReport(
-        inner_error=0.25,
-        outer_error=0.5,
-        outer_method=SUPPORT_GAP,
-        n_probes=100,
-        n_dirs_used=1000,
-        n_found=61,
-        n_kept=34,
-    )
-    back = json.loads(json.dumps(rep.to_dict()))
-    assert back["inner_error"] == 0.25
-    assert back["n_found"] == 61
-    with pytest.raises(ValueError):
-        ErrorReport(
-            inner_error=-1.0, outer_error=None, outer_method=None,
-            n_probes=0, n_dirs_used=1, n_found=0, n_kept=0,
-        )
 
 
 # --- 3-d outer support from the halfspace intersection's vertices ----------

@@ -20,7 +20,6 @@ PUBLIC = [
     "CurvatureSketch",
     "DirectionSet",
     "EmptyOuterHullError",
-    "ErrorReport",
     "InnerHull",
     "NoConstraintsSurvivedError",
     "OuterErrorResult",
@@ -44,7 +43,6 @@ PUBLIC = [
     "inner_error",
     "outer_error",
     "outer_hull",
-    "outer_hull_vertices_2d",
     "project_onto_hull",
     "sample_uniform",
     "sphere_surface_measure",

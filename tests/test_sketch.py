@@ -7,6 +7,7 @@ import pytest
 from hullsketch import (
     CurvatureSketch,
     DirectionSet,
+    OuterHull,
     PointCloud,
     build_sketch,
     chebyshev_bound,
@@ -17,7 +18,7 @@ from hullsketch import (
 )
 from hullsketch.sketch import _BLOCK_POINTS
 
-from oracles import naive_sketch_counts, polygon_vertex_curvatures
+from oracles import naive_sketch_counts, polygon_vertex_curvatures, satisfies
 
 SQUARE = PointCloud([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
 
@@ -70,7 +71,7 @@ def dyadic_directions(dim, rng):
     if dim in (4, 64):
         signs = rng.choice([-1.0, 1.0], size=(24, dim)) / math.sqrt(dim)
         axes = np.vstack([axes, signs])
-    return DirectionSet(axes, seed=0, method="dyadic")
+    return DirectionSet(axes, seed=0)
 
 
 @pytest.mark.parametrize(
@@ -163,7 +164,7 @@ def test_outer_hull_axis_square():
     sk = build_sketch(SQUARE, axes)
     hull = outer_hull(sk, SQUARE, axes)
     assert np.allclose(hull.offsets, 1.0)
-    assert bool(hull.contains(SQUARE.points).all())
+    assert satisfies(hull, SQUARE.points)
     # axis constraints recover the exact square: corners saturate two each
     margins = SQUARE.points @ hull.normals.T - hull.offsets
     assert np.all(np.isclose(margins, 0.0) | (margins < 0))
@@ -175,7 +176,7 @@ def test_outer_hull_feasibility_random():
     dirs = sample_uniform(256, 4, seed=10)
     sk = build_sketch(cloud, dirs)
     hull = outer_hull(sk, cloud, dirs)
-    assert bool(hull.contains(cloud.points, tol=1e-9).all())
+    assert satisfies(hull, cloud.points)
 
 
 def test_outer_hull_input_must_match():
@@ -202,7 +203,7 @@ def test_sandwich_found_points_are_cloud_points_and_feasible():
     inner = threshold_filter(sk, 0.0)
     assert set(inner.kept_indices.tolist()) <= set(range(len(cloud)))
     hull = outer_hull(sk, cloud, dirs)
-    assert bool(hull.contains(cloud.points, tol=1e-9).all())
+    assert satisfies(hull, cloud.points)
 
 
 def test_found_points_are_true_extremes():
@@ -280,3 +281,13 @@ def test_sketch_validation():
     sk = CurvatureSketch(SQUARE, dirs, [3, 3, 0, 2])
     assert sk.counts.tolist() == [1, 0, 1, 2]
     assert sk.scores_formed is None
+
+
+@pytest.mark.parametrize(
+    "row, column, value", [(0, 2, np.inf), (1, 2, -np.inf), (2, 2, np.nan), (3, 0, np.nan)]
+)
+def test_outer_hull_rejects_non_finite_halfspaces(row, column, value):
+    halfspaces = np.array([[1.0, 0, 1], [-1, 0, 1], [0, 1, 1], [0, -1, 1]])
+    halfspaces[row, column] = value
+    with pytest.raises(ValueError, match="must be finite"):
+        OuterHull(normals=halfspaces[:, :2], offsets=halfspaces[:, 2])
