@@ -312,9 +312,14 @@ def cmd_error(args) -> None:
 
 
 def cmd_bounds(args) -> None:
-    given = [f"--{f}" for f in ("omega", "k", "m", "theta") if getattr(args, f) is not None]
+    names = ("n", "eps", "x_count", "omega", "k", "m", "theta")
+    given = [f"--{f.replace('_', '-')}" for f in names if getattr(args, f) is not None]
     if args.sweep and given:
         raise CliValidationError(f"bounds --sweep writes fixed curves; drop {', '.join(given)}")
+    # --n, --eps and --x-count parse to None so that --sweep can refuse them
+    args.n = 3 if args.n is None else args.n
+    args.eps = 0.1 if args.eps is None else args.eps
+    args.x_count = 1 if args.x_count is None else args.x_count
     if (args.k is None) != (args.m is None):
         raise CliValidationError("bounds needs --k and --m together for the Chebyshev bound")
     if args.sweep:
@@ -505,11 +510,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=cmd_error)
 
     p = sub.add_parser("bounds", help="evaluate the probabilistic/geometric bounds")
-    p.add_argument("--n", type=int, default=3)
+    p.add_argument("--n", type=int, default=None)
     p.add_argument("--r", type=float, default=1.0)
     p.add_argument("--p", type=float, default=0.05)
-    p.add_argument("--eps", type=float, default=0.1)
-    p.add_argument("--x-count", type=int, default=1)
+    p.add_argument("--eps", type=float, default=None)
+    p.add_argument("--x-count", type=int, default=None)
     p.add_argument("--omega", type=float, default=None)
     p.add_argument("--k", type=float, default=None)
     p.add_argument("--m", type=int, default=None)

@@ -1,29 +1,26 @@
 """Inner and outer error of an approximate hull against a reference hull.
 
 Inner error is the farthest any reference vertex sits from the kept hull;
-outer error is how far the halfspace hull can reach beyond the reference.
-In two dimensions the outer error is computed exactly by enumerating the
-constraint-intersection vertices; in higher dimensions it is estimated as
-the largest support-function gap over sampled probe directions, which for
-nested convex bodies converges to the Hausdorff distance as probes densify.
+outer error is how far the halfspace hull reaches beyond the reference:
+exactly in 2-d, as the farthest outer-hull vertex, and from 3-d on as the
+largest support-function gap over sampled probe directions, which for
+nested bodies converges to the Hausdorff distance as probes densify.
 
-The outer hull's support value ``h_outer(d)`` comes from its vertices in
-3-d: a 3-polytope with M facets has at most 2M - 4 vertices, so one Qhull
-halfspace intersection (``scipy.spatial.HalfspaceIntersection``) turns every
-probe into a max over a few hundred points.  Qhull runs in a frame where
-the hull is round, so a thin hull keeps full precision.  Elsewhere each
-probe solves one support LP (``support_under_constraints``, HiGHS): in 3-d
-when the reference centroid is not safely inside every halfspace, and in
-4-d and up.  There the vertex count grows superlinearly in M: a 5-d simplex
-sketch with M = 70,000 gave 151k vertices after 35 s and ~800 MB on a
-2-CPU Xeon, against 8.5 s for 20 LPs, while at M = 5,000 Qhull took 0.57 s
-against 1.48 s for 50 LPs.  Which side wins in 4-5-d thus depends on M and
-the probe count, and no benchmark workload measures it yet.
+Up to 3-d the outer hull's vertices come from one Qhull halfspace
+intersection (``scipy.spatial.HalfspaceIntersection``) around the reference
+centroid, in a frame where the hull is round, so a thin hull keeps full
+precision.  A polygon with M edges has at most M vertices and a 3-polytope
+with M facets at most 2M - 4, so this takes M log M time and O(M) memory.
+When the centroid is not safely inside every halfspace, 2-d retries once at
+the Chebyshev centre (one HiGHS LP) and 3-d solves one support LP per probe
+(``support_under_constraints``), as 4-d and up always do: there the vertex
+count grows superlinearly in M (a 5-d simplex sketch with M = 70,000 gave
+151k vertices after 35 s and ~800 MB on a 2-CPU Xeon, against 8.5 s for 20
+LPs; at M = 5,000, 0.57 s against 1.48 s for 50 LPs).
 
-``scipy.spatial`` and ``scipy.optimize`` are imported inside ``_outer_vertices``
-and ``support_under_constraints``, their only callers, so only a run that
-needs Qhull or an LP pays for it.  Keep any new scipy import function-local
-for the same reason.
+``scipy.spatial`` and ``scipy.optimize`` are imported inside the functions
+that call Qhull or HiGHS, so only a run that needs them pays for them.  Keep
+any new scipy import function-local for the same reason.
 """
 from __future__ import annotations
 
@@ -49,9 +46,6 @@ __all__ = [
 
 EXACT_2D = "exact-2d"
 SUPPORT_GAP = "support-gap-estimate"
-# 2-d vertex enumeration keeps the crossings feasible to this fraction of the
-# largest offset
-_FEAS_TOL = 1e-7
 
 
 class UnboundedOuterHullError(RuntimeError):
@@ -59,7 +53,7 @@ class UnboundedOuterHullError(RuntimeError):
 
 
 class EmptyOuterHullError(RuntimeError):
-    """The halfspaces have no point in common."""
+    """The halfspaces have no point in common (in 2-d: no interior point)."""
 
 
 @dataclass(frozen=True)
@@ -90,46 +84,6 @@ def inner_error(true_extremes: VertexPolytope, inner: VertexPolytope) -> float:
     return math.ldexp(worst, exponent)
 
 
-def _outer_vertices_2d(outer: OuterHull) -> np.ndarray:
-    """Enumerate the vertices of a bounded 2-d halfspace intersection.
-
-    Intersects every constraint pair and keeps the crossings feasible to
-    ``_FEAS_TOL`` times the largest offset.  Raises :class:`UnboundedOuterHullError`
-    when the normals leave an angular gap of at least pi (then a recession
-    direction exists).
-    """
-    normals = outer.normals
-    offsets = outer.offsets
-    angles = np.sort(np.arctan2(normals[:, 1], normals[:, 0]))
-    gaps = np.diff(np.concatenate([angles, [angles[0] + 2 * np.pi]]))
-    if gaps.max() >= np.pi - 1e-12:
-        raise UnboundedOuterHullError("outer hull unbounded")
-
-    m = len(outer)
-    ii, jj = np.triu_indices(m, k=1)
-    a1, a2 = normals[ii], normals[jj]
-    b1, b2 = offsets[ii], offsets[jj]
-    det = a1[:, 0] * a2[:, 1] - a1[:, 1] * a2[:, 0]
-    ok = np.abs(det) > 1e-12
-    a1, a2, b1, b2, det = a1[ok], a2[ok], b1[ok], b2[ok], det[ok]
-    xs = (b1 * a2[:, 1] - b2 * a1[:, 1]) / det
-    ys = (a1[:, 0] * b2 - a2[:, 0] * b1) / det
-    cand = np.column_stack([xs, ys])
-    scale = float(np.max(np.abs(offsets)))
-    # blocked feasibility scan: the candidate-by-constraint matrix can reach
-    # O(m^3) entries otherwise
-    chunk = max(1, (1 << 24) // (8 * m))
-    kept = []
-    for c0 in range(0, cand.shape[0], chunk):
-        part = cand[c0 : c0 + chunk]
-        good = np.all(part @ normals.T - offsets <= _FEAS_TOL * scale, axis=1)
-        if np.any(good):
-            kept.append(part[good])
-    if not kept:  # a bounded, nonempty polygon has a vertex
-        raise EmptyOuterHullError("outer hull is empty")
-    return np.vstack(kept)
-
-
 def support_under_constraints(outer: OuterHull, d) -> float:
     """Support function of a halfspace intersection: ``max d . x`` subject to it."""
     from scipy.optimize import linprog
@@ -151,10 +105,38 @@ def support_under_constraints(outer: OuterHull, d) -> float:
     return float(-res.fun)
 
 
+def _centred(outer: OuterHull, origin: np.ndarray) -> tuple[OuterHull, float]:
+    """``outer`` centred on ``origin`` and divided by the power of two that
+    brings the largest slack into [1/2, 1), and that power.  HiGHS's
+    tolerances are absolute (1e-7), so LPs in this frame do not depend on
+    the cloud's units or position."""
+    slack = outer.offsets - outer.normals @ origin
+    unit = math.ldexp(1.0, math.frexp(float(np.abs(slack).max()))[1])
+    return OuterHull(normals=outer.normals, offsets=slack / unit), unit
+
+
+def _chebyshev_centre(outer: OuterHull, origin: np.ndarray) -> np.ndarray:
+    """Centre of the largest disc in a 2-d halfspace intersection: one HiGHS
+    LP, max r subject to n . x + r <= b (unit n), in the frame of :func:`_centred`."""
+    from scipy.optimize import linprog
+
+    centred, unit = _centred(outer, origin)
+    a_ub = np.column_stack([outer.normals, np.ones(len(outer))])
+    bounds = [(None, None), (None, None), (0, None)]
+    res = linprog([0, 0, -1], A_ub=a_ub, b_ub=centred.offsets, bounds=bounds, method="highs")
+    if res.status == 2:
+        raise EmptyOuterHullError("outer hull is empty")
+    if not res.success:
+        raise RuntimeError(f"Chebyshev centre LP failed: {res.message}")
+    if res.x[2] <= 0:
+        raise EmptyOuterHullError("outer hull has no interior")
+    return origin + unit * res.x[:2]
+
+
 def _outer_vertices(outer: OuterHull, interior: np.ndarray) -> np.ndarray | None:
-    """Vertices of a 3-d halfspace intersection, by Qhull, around ``interior``;
-    None when ``interior`` is not strictly inside every halfspace, sits too
-    near one face, or Qhull rejects the input.
+    """Vertices of a 2-d or 3-d halfspace intersection, by Qhull, around
+    ``interior``; None when ``interior`` is not strictly inside every
+    halfspace, sits too near one face, or Qhull rejects the input.
 
     Raises :class:`UnboundedOuterHullError` unless the origin lies strictly
     inside the hull of the normals (otherwise some direction ``y`` has
@@ -213,21 +195,16 @@ def probe_support(hull: VertexPolytope, probes: DirectionSet) -> np.ndarray:
 def outer_support(outer: OuterHull, probes: DirectionSet, interior: np.ndarray) -> np.ndarray:
     """``h_outer(d)`` of a halfspace intersection along every probe.
 
-    In 3-d this is the max over the intersection's vertices, from one Qhull
-    call around ``interior``.  When ``interior`` is not strictly inside every
-    halfspace, or so near one face that Qhull's roundoff would eat half the
-    digits, and in 4-d and up, each probe solves one support LP instead.
-    HiGHS's tolerances are absolute (1e-7), so the LPs run in coordinates
-    centred on ``interior`` and divided by the power of two that brings the
-    largest slack into [1/2, 1): the result does not depend on the cloud's
-    units or position.
+    Up to 3-d this is the max over the intersection's vertices, from one
+    Qhull call around ``interior``.  When ``interior`` is not strictly inside
+    every halfspace, or so near one face that Qhull's roundoff would eat half
+    the digits, and in 4-d and up, each probe solves one support LP instead,
+    in the frame of :func:`_centred` about ``interior``.
     """
-    verts = _outer_vertices(outer, interior) if outer.dim == 3 else None
+    verts = _outer_vertices(outer, interior) if outer.dim <= 3 else None
     if verts is not None:
         return probe_support(VertexPolytope(verts), probes)
-    slack = outer.offsets - outer.normals @ interior
-    unit = math.ldexp(1.0, math.frexp(float(np.abs(slack).max()))[1])
-    centred = OuterHull(normals=outer.normals, offsets=slack / unit)
+    centred, unit = _centred(outer, interior)
     h = np.array([support_under_constraints(centred, d) for d in probes.directions])
     return probes.directions @ interior + unit * h
 
@@ -244,22 +221,25 @@ def outer_error(
     hull to the reference, with ``probes`` unused.  Otherwise the support-gap
     estimate ``max_d h_outer(d) - h_true(d)`` over the probe set; since the
     bodies are nested it converges to the Hausdorff distance as probes
-    densify.  ``h_outer`` is a max over the outer hull's vertices in 3-d,
-    with the reference centroid as Qhull's interior point, and one LP per
-    probe in 4-d and up or when that centroid is not safely inside every
-    halfspace (see :func:`outer_support`).  ``h_true`` may pass
+    densify.  ``h_outer`` comes from :func:`outer_support` about the
+    reference centroid.  ``h_true`` may pass
     ``probe_support(true_extremes, probes)`` computed once for many outer
     hulls.  An unbounded intersection raises
-    :class:`UnboundedOuterHullError`, an empty one
-    :class:`EmptyOuterHullError`.
+    :class:`UnboundedOuterHullError`, an empty one (in 2-d also one with no
+    interior) :class:`EmptyOuterHullError`.
     """
     if outer.dim != true_extremes.dim:
         raise ValueError("dimension mismatch")
     if outer.dim == 2:
+        centroid = true_extremes.vertices.mean(axis=0)
+        verts = _outer_vertices(outer, centroid)
+        if verts is None:
+            verts = _outer_vertices(outer, _chebyshev_centre(outer, centroid))
+        if verts is None:
+            raise EmptyOuterHullError("outer hull has no interior")
         exponent = _unit_exponent(true_extremes.vertices)  # judged as in inner_error
         ref = _scaled(true_extremes, exponent)
-        verts = np.ldexp(_outer_vertices_2d(outer), -exponent)
-        value = max(project_onto_hull(v, ref).distance for v in verts)
+        value = max(project_onto_hull(v, ref).distance for v in np.ldexp(verts, -exponent))
         return OuterErrorResult(value=math.ldexp(value, exponent), method=EXACT_2D, n_probes=0)
     if probes is None:
         raise ValueError("probe directions are required for the support-gap estimate")

@@ -61,7 +61,14 @@ class CurvatureSketch:
         return self.counts / float(len(self.dirs))
 
     def to_dict(self) -> dict:
-        """JSON-ready export of the sketch; :meth:`from_dict` reads it back."""
+        """JSON-ready export of the sketch; :meth:`from_dict` reads it back.
+
+        The directions are stored as their seed only, so a set that
+        ``sample_uniform`` does not reproduce from it raises ``ValueError``.
+        """
+        again = sample_uniform(len(self.dirs), self.dirs.dim, self.dirs.seed)
+        if not np.array_equal(again.directions, self.dirs.directions):
+            raise ValueError("the sketch's directions are not sample_uniform's for their seed")
         return {
             "dim": self.cloud.dim,
             "n_points": len(self.cloud),

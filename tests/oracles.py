@@ -7,6 +7,7 @@ tests never share code paths with the implementations they verify.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -172,6 +173,41 @@ def normal_cone_curvature_3d(vertex: np.ndarray, others: np.ndarray) -> float:
     for t in range(1, len(ordered) - 1):
         total += _triangle_solid_angle(ordered[0], ordered[t], ordered[t + 1])
     return total / (4.0 * math.pi)
+
+
+def halfplane_vertices(normals: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Vertices of the 2-d intersection ``normals @ x <= offsets``.
+
+    Every pairwise crossing of the boundary lines, kept when it meets every
+    constraint in exact rational arithmetic (the floats are converted
+    exactly).  O(M^3) Fraction operations, so small M only.
+    """
+    a = [(Fraction(x), Fraction(y)) for x, y in np.asarray(normals, dtype=float)]
+    b = [Fraction(v) for v in np.asarray(offsets, dtype=float)]
+    found = set()
+    for i in range(len(a)):
+        for j in range(i + 1, len(a)):
+            det = a[i][0] * a[j][1] - a[i][1] * a[j][0]
+            if det == 0:
+                continue
+            x = (b[i] * a[j][1] - b[j] * a[i][1]) / det
+            y = (a[i][0] * b[j] - a[j][0] * b[i]) / det
+            if all(ax * x + ay * y <= bk for (ax, ay), bk in zip(a, b)):
+                found.add((x, y))
+    return np.array([[float(x), float(y)] for x, y in found])
+
+
+def polygon_distance(x: np.ndarray, points: np.ndarray) -> float:
+    """Distance from ``x`` to the convex hull of 2-d ``points``: 0 inside,
+    else the distance to the nearest hull edge."""
+    pts = np.asarray(points, dtype=float)[hull_polygon_ccw(points)]
+    inside, best = True, math.inf
+    for p, q in zip(pts, np.roll(pts, -1, axis=0)):
+        e, w = q - p, x - p
+        inside &= e[0] * w[1] - e[1] * w[0] >= 0  # left of every ccw edge
+        t = min(1.0, max(0.0, float(w @ e) / float(e @ e)))
+        best = min(best, float(np.linalg.norm(w - t * e)))
+    return 0.0 if inside else best
 
 
 def mc_cap_fraction(theta: float, n: int, samples: int, seed: int) -> float:

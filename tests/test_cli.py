@@ -252,6 +252,9 @@ def test_bounds_sweep_csv(tmp_path):
     (["--k", "0.2"], "--k and --m together"),
     (["--m", "10"], "--k and --m together"),
     (["--omega", "0.25", "--k", "0.2"], "--k and --m together"),
+    (["--sweep", "--n", "7"], "drop --n"),
+    (["--sweep", "--eps", "0.3"], "drop --eps"),
+    (["--sweep", "--x-count", "50"], "drop --x-count"),
 ])
 def test_bounds_rejects_flags_it_would_ignore(tmp_path, capsys, flags, named):
     """--sweep writes fixed curves and the Chebyshev bound needs both --k and
@@ -377,6 +380,25 @@ def test_empty_halfspace_set_exits_two_without_traceback(tmp_path, capsys):
     ]) == 2
     err = capsys.readouterr().err
     assert err == "numerical failure: outer hull is empty\n"
+
+
+@pytest.mark.parametrize("rows, message", [
+    ("1,0,0\n-1,0,0\n0,1,1\n0,-1,1\n", "outer hull has no interior"),  # the segment x = 0, |y| <= 1
+    ("1,0,-1\n-1,0,-1\n0,1,1\n0,-1,1\n", "outer hull is empty"),  # x <= -1 and x >= 1
+], ids=["flat", "empty"])
+def test_2d_outer_hull_without_interior_exits_two(tmp_path, capsys, rows, message):
+    # the simplex's centroid (1/3, 1/3) is outside both sets, so the Chebyshev LP decides
+    pts_path = gen_simplex(tmp_path, n=50, seed=83)
+    hs = tmp_path / "flat.csv"
+    hs.write_text(rows)
+    inner = tmp_path / "inner.csv"
+    inner.write_text("0.1,0.1,1.0\n0.2,0.1,0.5\n0.1,0.2,0.5\n")
+    out = tmp_path / "r.json"
+    assert run([
+        "error", "--in", str(pts_path), "--inner", str(inner), "--halfspaces", str(hs), "--out", str(out),
+    ]) == 2
+    assert capsys.readouterr().err == f"numerical failure: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -27,7 +27,7 @@ from hullsketch.metrics import (
     support_under_constraints,
 )
 
-from oracles import grid_min_distance, support_gap
+from oracles import grid_min_distance, halfplane_vertices, polygon_distance, support_gap
 
 SQUARE = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
 CUBE = np.array([[x, y, z] for x in (-1.0, 1.0) for y in (-1.0, 1.0) for z in (-1.0, 1.0)])
@@ -153,6 +153,10 @@ def test_unbounded_2d_raises():
     outer = make_outer([[1.0, 0], [0, 1]], [1.0, 1.0])
     with pytest.raises(UnboundedOuterHullError):
         outer_error(outer, VertexPolytope(SQUARE))
+    # three normals with y >= 0 leave (0, -1) a recession direction
+    outer = make_outer([[1.0, 0], [0, 1], [-0.6, 0.8]], [1.0, 1.0, 1.0])
+    with pytest.raises(UnboundedOuterHullError):
+        outer_error(outer, VertexPolytope(SQUARE))
 
 
 def test_unbounded_lp_raises():
@@ -179,10 +183,52 @@ def test_empty_2d_raises():
 
 
 def test_outer_vertices_2d_enumeration():
-    verts = metrics._outer_vertices_2d(rotated_square_outer())
+    verts = metrics._outer_vertices(rotated_square_outer(), np.zeros(2))
     expect = {(2, 0), (0, 2), (-2, 0), (0, -2)}
-    got = {tuple(np.round(v, 9)) for v in verts}
+    got = {tuple(np.round(v, 9) + 0.0) for v in verts}
     assert got == expect
+
+
+def no_lp(*args):
+    raise AssertionError("LP called")
+
+
+@pytest.mark.parametrize("m", [20, 200])
+@pytest.mark.parametrize("kind", ["ball", "simplex", "cube"])
+def test_exact_2d_outer_error_matches_halfplane_oracle(monkeypatch, kind, m):
+    # The centroid of a sketched cloud is inside its outer hull, so neither
+    # the Chebyshev retry nor a support LP runs.
+    monkeypatch.setattr(metrics, "_chebyshev_centre", no_lp)
+    monkeypatch.setattr(metrics, "support_under_constraints", no_lp)
+    points = generate(ShapeSpec(kind=kind, dim=2, count=500, seed=41)).points
+    cloud, dirs = PointCloud(points), sample_uniform(m, 2, seed=42)
+    outer = outer_hull(build_sketch(cloud, dirs), cloud, dirs)
+    verts = halfplane_vertices(outer.normals, outer.offsets)
+    want = max(polygon_distance(v, points) for v in verts)
+    assert outer_error(outer, VertexPolytope(points)).value == pytest.approx(want, rel=1e-9)
+    probes = sample_uniform(50, 2, seed=43)
+    got = outer_support(outer, probes, points.mean(axis=0))
+    extent = np.abs(points).max()
+    assert np.max(np.abs(got - (verts @ probes.directions.T).max(axis=0))) <= 1e-12 * extent
+
+
+def test_2d_retries_at_the_chebyshev_centre(monkeypatch):
+    # The rectangle [-1, -1/2] x [-1, 1] does not hold the triangle's
+    # centroid (-1/3, -1/3); its corner (-1/2, 1) lies 1 / (2 sqrt 2) past
+    # the hypotenuse x + y = 0.
+    normals = [[1.0, 0], [-1, 0], [0, 1], [0, -1]]
+    outer = make_outer(normals, [-0.5, 1, 1, 1])
+    triangle = np.array([[-1.0, -1], [1, -1], [-1, 1]])
+    calls = []
+    chebyshev = metrics._chebyshev_centre
+    monkeypatch.setattr(
+        metrics, "_chebyshev_centre", lambda *a: calls.append(1) or chebyshev(*a)
+    )
+    res = outer_error(outer, VertexPolytope(triangle))
+    assert calls == [1]
+    assert res.value == pytest.approx(1 / (2 * math.sqrt(2)), rel=1e-12)
+    want = max(polygon_distance(v, triangle) for v in halfplane_vertices(outer.normals, outer.offsets))
+    assert res.value == pytest.approx(want, rel=1e-12)
 
 
 def test_support_under_constraints_matches_vertex_max():
@@ -279,9 +325,6 @@ def test_vertex_path_unbounded_raises(monkeypatch, name, rotation):
     # Offsets large enough that the centroid is strictly inside, so the
     # boundedness check runs before Qhull and no LP is solved.  Rotations put
     # rounding noise on the origin's distance to the normals' hull.
-    def no_lp(outer, d):
-        raise AssertionError("LP called")
-
     monkeypatch.setattr(metrics, "support_under_constraints", no_lp)
     normals = np.array(UNBOUNDED_NORMALS[name])
     if rotation:

@@ -250,13 +250,27 @@ def test_chebyshev_consistency_on_right_triangle():
 
 
 def test_export_schema():
-    sk = build_sketch(SQUARE, diag_directions())
+    sk = build_sketch(SQUARE, sample_uniform(40, 2, seed=3))
     payload = sk.to_dict()
     assert payload["dim"] == 2
     assert payload["n_points"] == 4
-    assert payload["n_dirs"] == 4
-    assert payload["counts"] == [1, 1, 1, 1]
-    assert len(payload["assignment"]) == 4
+    assert payload["n_dirs"] == 40
+    assert payload["dirs_seed"] == 3
+    assert payload["counts"] == sk.counts.tolist()
+    assert len(payload["assignment"]) == 40
+
+
+def test_to_dict_refuses_directions_it_cannot_record():
+    # from_dict samples the directions again from dirs_seed, so hand-built
+    # ones, such as the four axis directions, would read back as others
+    cloud = PointCloud(np.random.default_rng(43).standard_normal((50, 2)))
+    axes = DirectionSet(np.vstack([np.eye(2), -np.eye(2)]), seed=0)
+    with pytest.raises(ValueError, match="not sample_uniform's"):
+        build_sketch(cloud, axes).to_dict()
+    # a prefix of a sampled set is what sample_uniform gives for its length
+    prefix = sample_uniform(80, 2, seed=44).prefix(30)
+    back = CurvatureSketch.from_dict(build_sketch(cloud, prefix).to_dict(), cloud)
+    assert np.array_equal(back.dirs.directions, prefix.directions)
 
 
 def test_from_dict_reads_back_what_to_dict_wrote():
