@@ -24,10 +24,12 @@ __all__ = [
     "outer_hull",
 ]
 
-# Points per spatial block and directions per chunk of the support kernel:
-# one score block is at most 256 x 2048 doubles (4 MB).
+# Points per spatial block and directions per score block of the support
+# kernel: one score block is at most 256 x 2048 doubles (4 MB).  A chunk of
+# directions is sized so that its (block, direction) bounds fit 4 MB too.
 _BLOCK_POINTS = 2048
 _CHUNK_DIRS = 256
+_BOUND_ENTRIES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -172,23 +174,22 @@ class OuterHull:
 def _morton_order(pts: np.ndarray) -> np.ndarray:
     """Point order along a Z-order curve of the quantised coordinates.
 
-    The int64 key interleaves ``62 // dim`` bits of every axis, or one bit of
-    each of the 62 widest axes in higher dimensions.
+    The uint16 key interleaves ``16 // dim`` bits of every axis, or one bit of
+    each of the 16 widest axes in higher dimensions.  A stable argsort of
+    16-bit keys is a radix sort.
     """
-    bits = max(1, 62 // pts.shape[1])
+    bits = max(1, 16 // pts.shape[1])
     lo = np.array([col.min() for col in pts.T])  # per column: far faster than axis=0
     extent = np.array([col.max() for col in pts.T]) - lo
-    axes = np.argsort(-extent, kind="stable")[: 62 // bits]
-    top, width, byte = (1 << bits) - 1, len(axes), np.arange(256)
-    key = np.zeros(pts.shape[0], dtype=np.int64)
+    axes = np.argsort(-extent, kind="stable")[: 16 // bits]
+    top, width, value = (1 << bits) - 1, len(axes), np.arange(1 << bits, dtype=np.uint16)
+    key = np.zeros(pts.shape[0], dtype=np.uint16)
     for pos, a in enumerate(axes):
         q = (pts[:, a] - lo[a]) * (top / extent[a] if extent[a] > 0 else 0.0)
-        q = np.clip(q.astype(np.int64), 0, top)
-        for c in range(0, bits, 8):  # bit b of this byte goes to key bit (c + b) * width + pos
-            spread = sum(((byte >> b) & 1) << ((c + b) * width + pos)
-                         for b in range(min(8, bits - c)))
-            key |= spread.take((q >> c) & 255)
-    return np.argsort(key)
+        # bit b of the quantised coordinate goes to key bit b * width + pos
+        spread = sum(((value >> b) & 1) << (b * width + pos) for b in range(bits))
+        key |= spread.take(np.clip(q.astype(np.intp), 0, top))  # clip after the cast: q may be NaN
+    return np.argsort(key, kind="stable")
 
 
 def _support_winners(pts: np.ndarray, dmat: np.ndarray) -> tuple[np.ndarray, int]:
@@ -197,10 +198,12 @@ def _support_winners(pts: np.ndarray, dmat: np.ndarray) -> tuple[np.ndarray, int
 
     Z-ordered blocks of points (index order inside each) keep their bounding
     box, whose support ``sum_i max(d_i lo_i, d_i hi_i)`` bounds every score in
-    the block.  Each direction of a chunk first scores its highest-bound
-    block; blocks are then visited in decreasing bound order, skipping a
-    (direction, block) pair whose bound is below the best score by more than
-    the margin.
+    the block.  Directions come in chunks sized so that the (block, direction)
+    bound matrix fits ``_BOUND_ENTRIES``.  Each direction of a chunk first
+    scores its highest-bound block; blocks are then visited in decreasing
+    bound order, skipping a (direction, block) pair whose bound is below the
+    best score by more than the margin.  Scores go through one reused buffer,
+    at most ``_CHUNK_DIRS`` directions at a time.
     """
     n, dim = pts.shape
     order, starts = _morton_order(pts), np.arange(0, n, _BLOCK_POINTS)
@@ -209,25 +212,35 @@ def _support_winners(pts: np.ndarray, dmat: np.ndarray) -> tuple[np.ndarray, int
     block_pts = np.take(pts, order, axis=0)  # several times faster than pts[order]
     lo, hi = np.minimum.reduceat(block_pts, starts), np.maximum.reduceat(block_pts, starts)
     # A computed score or bound lies within (dim + 1) eps/2 ||corner|| of its
-    # exact value; the margin covers both with a factor of 4 to spare.
+    # exact value; the margin covers both with a factor of 4 to spare.  The
+    # norm is taken in an exact power-of-two frame, so that it cannot
+    # overflow or underflow.
     corner = np.maximum(np.abs(lo), np.abs(hi))
-    margin = 4 * (dim + 1) * np.finfo(float).eps * np.sqrt((corner**2).sum(axis=1).max())
+    exp = np.frexp(corner.max())[1]
+    norm = np.ldexp(np.sqrt((np.ldexp(corner, -exp) ** 2).sum(axis=1).max()), exp)
+    margin = 4 * (dim + 1) * np.finfo(float).eps * norm
 
     assignment = np.empty(dmat.shape[0], dtype=np.int64)
+    box, buf = np.hstack([hi, lo]), np.empty(_CHUNK_DIRS * _BLOCK_POINTS)
     formed = 0
-    for j0 in range(0, dmat.shape[0], _CHUNK_DIRS):
-        chunk = dmat[j0 : j0 + _CHUNK_DIRS]
-        bound = (np.clip(chunk, 0, None) @ hi.T + np.clip(chunk, None, 0) @ lo.T).T.copy()
+    step = max(_CHUNK_DIRS, _BOUND_ENTRIES // starts.size)
+    for j0 in range(0, dmat.shape[0], step):
+        chunk = dmat[j0 : j0 + step]
+        bound = box @ np.hstack([np.clip(chunk, 0, None), np.clip(chunk, None, 0)]).T
         best = np.full(chunk.shape[0], -np.inf)
         winner = np.zeros(chunk.shape[0], dtype=np.int64)
 
         def scan(b: int, rows: np.ndarray) -> int:
-            scores = chunk[rows] @ block_pts[starts[b] : starts[b] + _BLOCK_POINTS].T
-            arg = scores.argmax(axis=1)
-            val, idx = scores[np.arange(rows.size), arg], order[starts[b] + arg]
-            better = (val > best[rows]) | ((val == best[rows]) & (idx < winner[rows]))
-            best[rows[better]], winner[rows[better]] = val[better], idx[better]
-            return scores.size
+            block = block_pts[starts[b] : starts[b] + _BLOCK_POINTS]
+            for r0 in range(0, rows.size, _CHUNK_DIRS):
+                part = rows[r0 : r0 + _CHUNK_DIRS]
+                scores = buf[: part.size * len(block)].reshape(part.size, len(block))
+                np.matmul(chunk[part], block.T, out=scores)
+                arg = scores.argmax(axis=1)
+                val, idx = scores[np.arange(part.size), arg], order[starts[b] + arg]
+                better = (val > best[part]) | ((val == best[part]) & (idx < winner[part]))
+                best[part[better]], winner[part[better]] = val[better], idx[better]
+            return rows.size * len(block)
 
         seed, top_bound = bound.argmax(axis=0), bound.max(axis=1)
         for b in np.unique(seed):

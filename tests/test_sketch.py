@@ -1,9 +1,11 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from hullsketch import sketch as sketch_module
 from hullsketch import (
     CurvatureSketch,
     DirectionSet,
@@ -91,6 +93,72 @@ def test_exact_ties_go_to_smallest_index(dim, n, scale, offset):
     sk = build_sketch(PointCloud(pts), dirs)
     assert np.array_equal(sk.assignment, np.argmax(pts @ dirs.directions.T, axis=0))
     assert 0 < sk.scores_formed <= n * len(dirs)
+
+
+def tied_grid_and_directions(n, m, seed):
+    """An exact-tie 4-d integer grid of n points and m dyadic directions
+    (the 24 of ``dyadic_directions`` repeated in a shuffled order)."""
+    rng = np.random.default_rng(seed)
+    pts = rng.integers(-2, 3, size=(n, 4)).astype(float)
+    base = dyadic_directions(4, rng).directions
+    return pts, DirectionSet(base[rng.integers(0, len(base), size=m)], seed=0)
+
+
+def test_exact_ties_when_one_block_is_scored_by_many_directions():
+    # one block seeds all 600 directions, so its scores come in groups of 256
+    pts, dirs = tied_grid_and_directions(_BLOCK_POINTS, 600, seed=41)
+    sk = build_sketch(PointCloud(pts), dirs)
+    assert np.array_equal(sk.assignment, np.argmax(pts @ dirs.directions.T, axis=0))
+    assert sk.scores_formed == _BLOCK_POINTS * 600
+
+
+@pytest.mark.parametrize("chunk_dirs,bound_entries", [(256, 1), (7, 40)])
+def test_exact_ties_across_direction_chunks(monkeypatch, chunk_dirs, bound_entries):
+    # 4 blocks: chunks of 256 directions, then of 10 scored 7 at a time
+    monkeypatch.setattr(sketch_module, "_CHUNK_DIRS", chunk_dirs)
+    monkeypatch.setattr(sketch_module, "_BOUND_ENTRIES", bound_entries)
+    pts, dirs = tied_grid_and_directions(3 * _BLOCK_POINTS + 5, 700, seed=42)
+    sk = build_sketch(PointCloud(pts), dirs)
+    assert np.array_equal(sk.assignment, np.argmax(pts @ dirs.directions.T, axis=0))
+
+
+@pytest.mark.parametrize("exponent", [-600, 600])
+@pytest.mark.filterwarnings("error")  # an overflowing or underflowing margin must not warn
+def test_margin_holds_at_extreme_scales(exponent):
+    # scaling by a power of two is exact, so every score, bound and margin
+    # scales exactly and the kernel prunes as it does at unit scale
+    rng = np.random.default_rng(43)
+    raw = rng.standard_normal((20_000, 3))
+    unit = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+    dirs = sample_uniform(300, 3, seed=44)
+    at_unit = build_sketch(PointCloud(unit), dirs)
+    scaled = build_sketch(PointCloud(np.ldexp(unit, exponent)), dirs)
+    assert np.array_equal(scaled.assignment, at_unit.assignment)
+    assert scaled.scores_formed == at_unit.scores_formed < 0.75 * len(unit) * len(dirs)
+
+
+def test_winners_stay_exact_when_the_extent_overflows():
+    # max - min overflows to inf, so the Z-order key cannot quantise the
+    # x-axis; the order degrades, the winners must not
+    pts = np.array([[-1e308, 0.0], [1e308, 1.0], [0.0, 0.5], [1e308, -1.0]])
+    dirs = sample_uniform(64, 2, seed=47)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sk = build_sketch(PointCloud(pts), dirs)
+    assert np.array_equal(sk.assignment, np.argmax(pts @ dirs.directions.T, axis=0))
+
+
+def test_kernel_memory_stays_bounded():
+    # 5,000 directions on one block: scores unsplit into 256-row groups would
+    # take about 80 MB
+    pts = np.random.default_rng(45).standard_normal((_BLOCK_POINTS, 3))
+    cloud, dirs = PointCloud(pts), sample_uniform(5_000, 3, seed=46)
+    tracemalloc.start()
+    try:
+        build_sketch(cloud, dirs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
 
 
 def test_block_bound_prunes_the_sphere():
