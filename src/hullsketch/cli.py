@@ -556,7 +556,7 @@ def main(argv=None) -> int:
         EmptyOuterHullError,
         UnboundedOuterHullError,
         NoConstraintsSurvivedError,
-        FloatingPointError,
+        ArithmeticError,  # FloatingPointError, or OverflowError from a distance beyond a double
     ) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2

@@ -4,9 +4,11 @@ Projection of a point onto the convex hull of a vertex set (Wolfe-style
 min-norm point), Hausdorff distance between vertex polytopes, and an exact
 extreme-point oracle for desk-scale verification.
 
-Every tolerance is the fixed ``DEFAULT_TOL``.  The oracle and the error
-metrics apply it in the frame where the data's largest coordinate extent
-lies in [1/2, 1) (``_unit_exponent``), so it is relative to that extent.
+Every tolerance is the fixed ``DEFAULT_TOL``, applied where the data's
+largest coordinate extent lies in [1/2, 1): the one frame helper
+:func:`unit_frame` serves :func:`farthest_distance` (for :func:`hausdorff`,
+``inner_error`` and the 2-d ``outer_error``), :func:`exact_extreme_points`
+and the sketch's Z-order key.
 
 ``scipy.spatial`` is imported inside ``_qhull_candidates``, the only
 caller of Qhull, so only a run that asks the oracle for extreme points
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -235,17 +238,47 @@ def project_onto_hull(x, hull: VertexPolytope, max_iter: int | None = None) -> P
     )
 
 
+class UnitFrame(NamedTuple):
+    scale: float  # 1/2 if a coordinate bound has magnitude 1 or more, else 1
+    lo: np.ndarray  # per-axis lower bounds, times scale
+    extent: np.ndarray  # per-axis extents, times scale: finite for finite points
+    centre: np.ndarray  # box midpoint
+    exponent: int  # 2**-exponent brings the largest extent into [1/2, 1); 0 if it is 0
+
+
+def unit_frame(points: np.ndarray) -> UnitFrame:
+    """Bounding box of the rows of ``points``, halved before any subtraction so
+    that it stays finite; bounds all below 1 in magnitude, which cannot overflow
+    but could lose subnormal bits, stay whole.  ``centre`` and ``exponent`` equal
+    ``(lo + hi) / 2`` and ``frexp(max(hi - lo))[1]`` wherever those are finite."""
+    lo = np.array([col.min() for col in points.T])  # per column: far faster than axis=0
+    hi = np.array([col.max() for col in points.T])
+    scale = 0.5 if max(hi.max(), -lo.min()) >= 1.0 else 1.0
+    lo, hi = lo * scale, hi * scale
+    top = float((hi - lo).max())
+    exponent = math.frexp(top)[1] + (scale < 1.0) if top > 0 else 0
+    return UnitFrame(scale, lo, hi - lo, (lo + hi) * (0.5 / scale), exponent)
+
+
+def farthest_distance(rows: np.ndarray, hull: VertexPolytope, exponent: int) -> float:
+    """Largest distance from a row of ``rows`` to ``CH(hull.vertices)``, projected
+    in the frame divided by ``2**exponent`` (a :func:`unit_frame` exponent)."""
+    scaled = VertexPolytope(np.ldexp(hull.vertices, -exponent))
+    worst = max(project_onto_hull(v, scaled).distance for v in np.ldexp(rows, -exponent))
+    return math.ldexp(worst, exponent)
+
+
 def hausdorff(p: VertexPolytope, q: VertexPolytope) -> float:
     """Hausdorff distance between two vertex polytopes.
 
     Because the supremum of the distance function over a polytope is attained
     at a vertex, only vertices need to be projected onto the opposite hull.
+    Both directions are judged in the unit frame of all the vertices.
     """
     if p.dim != q.dim:
         raise ValueError("polytopes must share a dimension")
-    d_pq = max(project_onto_hull(v, q).distance for v in p.vertices)
-    d_qp = max(project_onto_hull(v, p).distance for v in q.vertices)
-    return max(d_pq, d_qp)
+    e = unit_frame(np.vstack([p.vertices, q.vertices])).exponent
+    return max(farthest_distance(p.vertices, q, e), farthest_distance(q.vertices, p, e))
 
 
 def _qhull_candidates(rows: np.ndarray) -> np.ndarray:
@@ -265,12 +298,6 @@ def _qhull_candidates(rows: np.ndarray) -> np.ndarray:
     return np.union1d(hull.vertices, hull.coplanar[:, 0])
 
 
-def _unit_exponent(points: np.ndarray) -> int:
-    """Exponent of the power of two that brings the largest coordinate
-    extent of ``points`` into [1/2, 1)."""
-    return int(np.frexp(np.ptp(points, axis=0).max())[1])
-
-
 def exact_extreme_points(cloud: PointCloud) -> np.ndarray:
     """Indices of the points of ``cloud`` that are extreme in its hull.
 
@@ -278,10 +305,9 @@ def exact_extreme_points(cloud: PointCloud) -> np.ndarray:
     distinct rows exceeds ``DEFAULT_TOL``; a repeated row is reported once,
     by its smallest index (the sketch's tie-break).
 
-    The rows are first centred on their bounding-box midpoint and scaled by
-    the power of two that brings their largest extent into [1/2, 1), so the
-    tolerance is relative to the extent and the answer does not depend on
-    the units of the cloud.  For 2 <= dim <= 5 and more than dim + 1 distinct
+    The rows are first centred and scaled in their :func:`unit_frame`, so
+    the tolerance is relative to their extent and the answer does not depend
+    on the units of the cloud.  For 2 <= dim <= 5 and more than dim + 1 distinct
     rows, Qhull (Barber, Dobkin & Huhdanpaa, ACM TOMS 1996) proposes the
     candidates: its hull vertices and the points it found coplanar with a
     facet.  A row it puts strictly inside the hull cannot be extreme.  In
@@ -297,8 +323,8 @@ def exact_extreme_points(cloud: PointCloud) -> np.ndarray:
     rows, first = np.unique(cloud.points, axis=0, return_index=True)
     if len(rows) == 1:
         return first.astype(np.int64)
-    lo, hi = rows.min(axis=0), rows.max(axis=0)
-    rows = np.ldexp(rows - (lo + hi) / 2, -_unit_exponent(rows))
+    frame = unit_frame(rows)
+    rows = np.ldexp(rows - frame.centre, -frame.exponent)
     out = []
     for i in _qhull_candidates(rows):
         others = VertexPolytope(np.delete(rows, i, axis=0))

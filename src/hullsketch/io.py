@@ -40,7 +40,7 @@ class CsvFormatError(ValueError):
 def _scan_for_error(path: Path) -> None:
     """Re-parse line by line to locate the defect behind a fast-path failure."""
     width = None
-    with open(path, "r", newline="") as fh:
+    with _OPENERS.get(path.suffix, open)(path, "rt", newline="") as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):

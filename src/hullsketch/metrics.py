@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .directions import DirectionSet
-from .geometry import VertexPolytope, _unit_exponent, project_onto_hull
+from .geometry import VertexPolytope, farthest_distance, unit_frame
 from .sketch import OuterHull
 
 __all__ = [
@@ -63,25 +63,18 @@ class OuterErrorResult:
     n_probes: int
 
 
-def _scaled(poly: VertexPolytope, exponent: int) -> VertexPolytope:
-    return VertexPolytope(np.ldexp(poly.vertices, -exponent))
-
-
 def inner_error(true_extremes: VertexPolytope, inner: VertexPolytope) -> float:
     """Largest distance from a reference vertex to the hull of kept points.
 
     Only vertices of the reference need checking: the distance function to a
     convex set is convex, so its supremum over a polytope is attained at a
-    vertex.  Both hulls are judged in the power-of-two frame of the
-    reference's largest coordinate extent, so the projections' tolerance is
-    relative to that extent.
+    vertex.  Both hulls are judged in the unit frame of the reference, so
+    the projections' tolerance is relative to its largest extent.
     """
     if true_extremes.dim != inner.dim:
         raise ValueError("dimension mismatch between reference and inner hull")
-    exponent = _unit_exponent(true_extremes.vertices)
-    ref, kept = _scaled(true_extremes, exponent), _scaled(inner, exponent)
-    worst = max(project_onto_hull(v, kept).distance for v in ref.vertices)
-    return math.ldexp(worst, exponent)
+    ref = true_extremes.vertices
+    return farthest_distance(ref, inner, unit_frame(ref).exponent)
 
 
 def support_under_constraints(outer: OuterHull, d) -> float:
@@ -237,10 +230,8 @@ def outer_error(
             verts = _outer_vertices(outer, _chebyshev_centre(outer, centroid))
         if verts is None:
             raise EmptyOuterHullError("outer hull has no interior")
-        exponent = _unit_exponent(true_extremes.vertices)  # judged as in inner_error
-        ref = _scaled(true_extremes, exponent)
-        value = max(project_onto_hull(v, ref).distance for v in np.ldexp(verts, -exponent))
-        return OuterErrorResult(value=math.ldexp(value, exponent), method=EXACT_2D, n_probes=0)
+        exponent = unit_frame(true_extremes.vertices).exponent  # judged as in inner_error
+        return OuterErrorResult(farthest_distance(verts, true_extremes, exponent), EXACT_2D, 0)
     if probes is None:
         raise ValueError("probe directions are required for the support-gap estimate")
     if probes.dim != outer.dim:

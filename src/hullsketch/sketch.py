@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .directions import GAUSSIAN_UNIFORM, DirectionSet, sample_uniform
-from .geometry import PointCloud
+from .geometry import PointCloud, unit_frame
 
 __all__ = [
     "CurvatureSketch",
@@ -176,19 +176,21 @@ def _morton_order(pts: np.ndarray) -> np.ndarray:
 
     The uint16 key interleaves ``16 // dim`` bits of every axis, or one bit of
     each of the 16 widest axes in higher dimensions.  A stable argsort of
-    16-bit keys is a radix sort.
+    16-bit keys is a radix sort.  Axes are quantised in the halved
+    :func:`~hullsketch.geometry.unit_frame`, finite for any extent.
     """
     bits = max(1, 16 // pts.shape[1])
-    lo = np.array([col.min() for col in pts.T])  # per column: far faster than axis=0
-    extent = np.array([col.max() for col in pts.T]) - lo
-    axes = np.argsort(-extent, kind="stable")[: 16 // bits]
+    frame = unit_frame(pts)
+    axes = np.argsort(-frame.extent, kind="stable")[: 16 // bits]
     top, width, value = (1 << bits) - 1, len(axes), np.arange(1 << bits, dtype=np.uint16)
     key = np.zeros(pts.shape[0], dtype=np.uint16)
     for pos, a in enumerate(axes):
-        q = (pts[:, a] - lo[a]) * (top / extent[a] if extent[a] > 0 else 0.0)
+        q = pts[:, a] * frame.scale  # the one full-size temporary of this axis
+        q -= frame.lo[a]
+        q *= top / frame.extent[a] if frame.extent[a] > 0 else 0.0
         # bit b of the quantised coordinate goes to key bit b * width + pos
         spread = sum(((value >> b) & 1) << (b * width + pos) for b in range(bits))
-        key |= spread.take(np.clip(q.astype(np.intp), 0, top))  # clip after the cast: q may be NaN
+        key |= spread.take(q.astype(np.intp))
     return np.argsort(key, kind="stable")
 
 

@@ -382,6 +382,24 @@ def test_empty_halfspace_set_exits_two_without_traceback(tmp_path, capsys):
     assert err == "numerical failure: outer hull is empty\n"
 
 
+def test_error_beyond_the_largest_double_exits_two(tmp_path, capsys):
+    # cube corners at +-2**1023: the unit frame keeps the projections finite,
+    # but a missed corner lies 2**1024 * sqrt(2) from the kept edge
+    corners = np.array([[x, y, z] for x in (-1.0, 1.0) for y in (-1.0, 1.0) for z in (-1.0, 1.0)])
+    pts, inner, hs = tmp_path / "pts.csv", tmp_path / "inner.csv", tmp_path / "box.csv"
+    write_matrix(pts, np.ldexp(corners, 1023))
+    write_matrix(inner, np.column_stack([np.ldexp(corners[:2], 1023), [0.5, 0.5]]))
+    box = np.vstack([np.eye(3), -np.eye(3)])
+    write_matrix(hs, np.column_stack([box, np.full(6, 2.0**1023)]))
+    out = tmp_path / "r.json"
+    assert run([
+        "error", "--in", str(pts), "--inner", str(inner), "--halfspaces", str(hs),
+        "--probes", "0", "--out", str(out),
+    ]) == 2
+    assert capsys.readouterr().err == "numerical failure: math range error\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("rows, message", [
     ("1,0,0\n-1,0,0\n0,1,1\n0,-1,1\n", "outer hull has no interior"),  # the segment x = 0, |y| <= 1
     ("1,0,-1\n-1,0,-1\n0,1,1\n0,-1,1\n", "outer hull is empty"),  # x <= -1 and x >= 1

@@ -160,6 +160,19 @@ def test_hausdorff_metric_properties(seed):
     assert d02 <= d01 + d12 + 2e-9
 
 
+@pytest.mark.parametrize("seed", range(20))
+@pytest.mark.filterwarnings("error")
+def test_hausdorff_does_not_depend_on_units(seed):
+    # judged in the unit frame of both polytopes, so the projections'
+    # tolerance scales with the data and every scale converges
+    rng = np.random.default_rng(seed)
+    p, q = rng.standard_normal((30, 3)), rng.standard_normal((20, 3))
+    unit = hausdorff(VertexPolytope(p), VertexPolytope(q))
+    for scale in (2.0**-40, 2.0**40, 1e-9, 1e-6, 1e9):
+        got = hausdorff(VertexPolytope(p * scale), VertexPolytope(q * scale))
+        assert got / scale == pytest.approx(unit, rel=1e-12), scale
+
+
 def test_exact_extreme_square_plus_centroid():
     cloud = PointCloud(np.vstack([SQUARE, [[0.0, 0.0]]]))
     assert exact_extreme_points(cloud).tolist() == [0, 1, 2, 3]
@@ -214,11 +227,22 @@ SCALE_CLOUDS = {
 }
 
 
+def _overflowing(pts):
+    """``pts`` centred on its box and scaled by a power of two so that its
+    largest coordinate is in [2**1023, 2**1024): its extent overflows."""
+    centred = pts - (pts.min(axis=0) + pts.max(axis=0)) / 2
+    huge = np.ldexp(centred, 1024 - np.frexp(np.abs(centred).max())[1])
+    assert np.any(huge.max(axis=0) / 2 - huge.min(axis=0) / 2 > np.finfo(float).max / 2)
+    return huge
+
+
 @pytest.mark.parametrize("name", list(SCALE_CLOUDS))
+@pytest.mark.filterwarnings("error")  # an overflowing extent must not reach LAPACK
 def test_exact_extreme_invariant_to_scale_and_offset(name):
     pts = SCALE_CLOUDS[name]()
     unit = exact_extreme_points(PointCloud(pts)).tolist()
-    for scaled in (pts * 2.0**-30, pts * 2.0**30, pts * 2.0**30 + 2.0**30, pts * 1e-9, pts * 1e9):
+    for scaled in (pts * 2.0**-30, pts * 2.0**30, pts * 2.0**30 + 2.0**30, pts * 1e-9, pts * 1e9,
+                   _overflowing(pts)):
         assert exact_extreme_points(PointCloud(scaled)).tolist() == unit
 
 

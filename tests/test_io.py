@@ -1,3 +1,7 @@
+import bz2
+import gzip
+import lzma
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -64,8 +68,6 @@ def test_write_matrix_bytes_equal_savetxt(tmp_path, name):
 
 
 def test_write_matrix_compressed_suffix_matches_savetxt(tmp_path):
-    import gzip
-
     data = np.random.default_rng(6).standard_normal((30, 4))
     ours, ref = tmp_path / "ours.csv.gz", tmp_path / "ref.csv.gz"
     write_matrix(ours, data)
@@ -92,6 +94,20 @@ def test_non_numeric_field_located(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("1,2\n3,oops\n")
     with pytest.raises(CsvFormatError, match="line 2"):
+        read_matrix(path)
+
+
+@pytest.mark.parametrize(
+    "suffix,opener",
+    [("", open), (".gz", gzip.open), (".bz2", bz2.open), (".xz", lzma.open), (".lzma", lzma.open)],
+)
+def test_defect_located_in_compressed_input(tmp_path, suffix, opener):
+    # the line-by-line rescan opens the file as read_matrix does, so it
+    # locates the field instead of failing to decode compressed bytes
+    path = tmp_path / f"bad.csv{suffix}"
+    with opener(path, "wt") as fh:
+        fh.write("# x,y\n1,2\n3,4\n5,oops\n")
+    with pytest.raises(CsvFormatError, match=r"line 4, field 2: not a number: 'oops'"):
         read_matrix(path)
 
 

@@ -62,6 +62,20 @@ def test_inner_error_missing_corner_analytic():
     assert abs(val - grid) <= 5e-3
 
 
+@pytest.mark.filterwarnings("error")  # an overflowing extent must not reach LAPACK
+def test_inner_error_scales_with_the_data():
+    # one corner of the cube pulled in; at 2**1023 the cube's extent overflows
+    inner = VertexPolytope(np.vstack([CUBE[:-1], [0.5, 0.25, 0.5]]))
+    unit = inner_error(VertexPolytope(CUBE), inner)
+    assert unit > 0.5
+    for scale in (2.0**-1000, 2.0**1023):  # exact: the unit frame is a power of two
+        got = inner_error(VertexPolytope(CUBE * scale), VertexPolytope(inner.vertices * scale))
+        assert got / scale == unit, scale
+    for scale in (1e-9, 1e9):
+        got = inner_error(VertexPolytope(CUBE * scale), VertexPolytope(inner.vertices * scale))
+        assert got / scale == pytest.approx(unit, rel=1e-12), scale
+
+
 def test_inner_error_dim_mismatch():
     with pytest.raises(ValueError):
         inner_error(VertexPolytope(SQUARE), VertexPolytope([[0.0, 0, 0]]))
