@@ -556,7 +556,8 @@ def main(argv=None) -> int:
         EmptyOuterHullError,
         UnboundedOuterHullError,
         NoConstraintsSurvivedError,
-        ArithmeticError,  # FloatingPointError, or OverflowError from a distance beyond a double
+        FloatingPointError,
+        OverflowError,  # a distance beyond the largest double
     ) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2

@@ -247,10 +247,9 @@ class UnitFrame(NamedTuple):
 
 
 def unit_frame(points: np.ndarray) -> UnitFrame:
-    """Bounding box of the rows of ``points``, halved before any subtraction so
-    that it stays finite; bounds all below 1 in magnitude, which cannot overflow
-    but could lose subnormal bits, stay whole.  ``centre`` and ``exponent`` equal
-    ``(lo + hi) / 2`` and ``frexp(max(hi - lo))[1]`` wherever those are finite."""
+    """Bounding box of the rows of ``points``, halved (see ``scale``) to stay finite.
+    Halving is exact off the subnormal range, so each field is bit for bit the
+    plain formula's wherever that is finite."""
     lo = np.array([col.min() for col in points.T])  # per column: far faster than axis=0
     hi = np.array([col.max() for col in points.T])
     scale = 0.5 if max(hi.max(), -lo.min()) >= 1.0 else 1.0
@@ -260,9 +259,10 @@ def unit_frame(points: np.ndarray) -> UnitFrame:
     return UnitFrame(scale, lo, hi - lo, (lo + hi) * (0.5 / scale), exponent)
 
 
-def farthest_distance(rows: np.ndarray, hull: VertexPolytope, exponent: int) -> float:
+def farthest_distance(rows: np.ndarray, hull: VertexPolytope, frame_of: np.ndarray) -> float:
     """Largest distance from a row of ``rows`` to ``CH(hull.vertices)``, projected
-    in the frame divided by ``2**exponent`` (a :func:`unit_frame` exponent)."""
+    in the :func:`unit_frame` of ``frame_of`` and scaled back."""
+    exponent = unit_frame(frame_of).exponent
     scaled = VertexPolytope(np.ldexp(hull.vertices, -exponent))
     worst = max(project_onto_hull(v, scaled).distance for v in np.ldexp(rows, -exponent))
     return math.ldexp(worst, exponent)
@@ -272,13 +272,13 @@ def hausdorff(p: VertexPolytope, q: VertexPolytope) -> float:
     """Hausdorff distance between two vertex polytopes.
 
     Because the supremum of the distance function over a polytope is attained
-    at a vertex, only vertices need to be projected onto the opposite hull.
-    Both directions are judged in the unit frame of all the vertices.
+    at a vertex, only vertices need to be projected onto the opposite hull,
+    both ways in the unit frame of all the vertices.
     """
     if p.dim != q.dim:
         raise ValueError("polytopes must share a dimension")
-    e = unit_frame(np.vstack([p.vertices, q.vertices])).exponent
-    return max(farthest_distance(p.vertices, q, e), farthest_distance(q.vertices, p, e))
+    both = np.vstack([p.vertices, q.vertices])
+    return max(farthest_distance(p.vertices, q, both), farthest_distance(q.vertices, p, both))
 
 
 def _qhull_candidates(rows: np.ndarray) -> np.ndarray:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .directions import DirectionSet
-from .geometry import VertexPolytope, farthest_distance, unit_frame
+from .geometry import VertexPolytope, farthest_distance
 from .sketch import OuterHull
 
 __all__ = [
@@ -68,13 +68,11 @@ def inner_error(true_extremes: VertexPolytope, inner: VertexPolytope) -> float:
 
     Only vertices of the reference need checking: the distance function to a
     convex set is convex, so its supremum over a polytope is attained at a
-    vertex.  Both hulls are judged in the unit frame of the reference, so
-    the projections' tolerance is relative to its largest extent.
+    vertex.  Both hulls are judged in the unit frame of the reference.
     """
     if true_extremes.dim != inner.dim:
         raise ValueError("dimension mismatch between reference and inner hull")
-    ref = true_extremes.vertices
-    return farthest_distance(ref, inner, unit_frame(ref).exponent)
+    return farthest_distance(true_extremes.vertices, inner, true_extremes.vertices)
 
 
 def support_under_constraints(outer: OuterHull, d) -> float:
@@ -230,8 +228,8 @@ def outer_error(
             verts = _outer_vertices(outer, _chebyshev_centre(outer, centroid))
         if verts is None:
             raise EmptyOuterHullError("outer hull has no interior")
-        exponent = unit_frame(true_extremes.vertices).exponent  # judged as in inner_error
-        return OuterErrorResult(farthest_distance(verts, true_extremes, exponent), EXACT_2D, 0)
+        value = farthest_distance(verts, true_extremes, true_extremes.vertices)  # as inner_error
+        return OuterErrorResult(value, EXACT_2D, 0)
     if probes is None:
         raise ValueError("probe directions are required for the support-gap estimate")
     if probes.dim != outer.dim:

@@ -8,6 +8,7 @@ direction.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -187,7 +188,8 @@ def _morton_order(pts: np.ndarray) -> np.ndarray:
     for pos, a in enumerate(axes):
         q = pts[:, a] * frame.scale  # the one full-size temporary of this axis
         q -= frame.lo[a]
-        q *= top / frame.extent[a] if frame.extent[a] > 0 else 0.0
+        # a Python divide gives inf, not a warning; capped, q stays in [0, top + 1)
+        q *= min(top / float(frame.extent[a]), sys.float_info.max) if frame.extent[a] > 0 else 0.0
         # bit b of the quantised coordinate goes to key bit b * width + pos
         spread = sum(((value >> b) & 1) << (b * width + pos) for b in range(bits))
         key |= spread.take(q.astype(np.intp))

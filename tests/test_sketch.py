@@ -146,6 +146,16 @@ def test_winners_stay_exact_when_the_extent_overflows():
     assert np.array_equal(sk.assignment, np.argmax(pts @ dirs.directions.T, axis=0))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("tiny", [1e-307, 5e-324])
+def test_winners_stay_exact_when_an_extent_is_tiny(tiny):
+    # top / extent overflows a double on the y-axis
+    pts = np.array([[0.0, 0.0], [1.0, tiny], [0.5, 0.0], [0.25, tiny]])
+    dirs = sample_uniform(64, 2, seed=48)
+    sk = build_sketch(PointCloud(pts), dirs)
+    assert np.array_equal(sk.assignment, np.argmax(pts @ dirs.directions.T, axis=0))
+
+
 def test_kernel_memory_stays_bounded():
     # 5,000 directions on one block: scores unsplit into 256-row groups would
     # take about 80 MB
