@@ -31,7 +31,6 @@ from .geometry import (
     ConvergenceError,
     PointCloud,
     ProjectionResult,
-    VertexPolytope,
     exact_extreme_points,
     hausdorff,
     project_onto_hull,
@@ -68,7 +67,6 @@ __all__ = [
     "ProjectionResult",
     "ShapeSpec",
     "UnboundedOuterHullError",
-    "VertexPolytope",
     "aleksandrov_bound",
     "build_sketch",
     "cap_lower_bound",

@@ -26,15 +26,11 @@ from .bounds import (
 from .compression import NoConstraintsSurvivedError, hyperplane_compress, vertex_compress
 from .datagen import SHAPE_KINDS, ShapeSpec, generate
 from .directions import sample_uniform
-from .geometry import (
-    ConvergenceError,
-    PointCloud,
-    VertexPolytope,
-    exact_extreme_points,
-)
+from .geometry import ConvergenceError, PointCloud, exact_extreme_points
 from .io import read_halfspaces, read_matrix, write_halfspaces, write_matrix
 from .metrics import (
     EmptyOuterHullError,
+    LinearProgramError,
     UnboundedOuterHullError,
     inner_error,
     outer_error,
@@ -105,15 +101,15 @@ def _check_oracle_cap(args) -> None:
         raise CliValidationError("oracle-cap must be >= 1")
 
 
-def _reference(cloud: PointCloud, seed: int, oracle_cap: int) -> tuple[VertexPolytope, str]:
+def _reference(cloud: PointCloud, seed: int, oracle_cap: int) -> tuple[PointCloud, str]:
     """Reference vertex set for inner error, and its tag: the oracle's
     extreme points of the cloud, or above ``oracle_cap`` points of a seeded
     ``oracle_cap``-point subsample."""
     if len(cloud) <= oracle_cap:
-        return VertexPolytope(cloud.points[exact_extreme_points(cloud)]), "oracle"
+        return PointCloud(cloud.points[exact_extreme_points(cloud)]), "oracle"
     rng = np.random.Generator(np.random.PCG64(seed + SUBSAMPLE_SEED_OFFSET))
     sub = cloud.points[np.sort(rng.choice(len(cloud), size=oracle_cap, replace=False))]
-    return VertexPolytope(sub[exact_extreme_points(PointCloud(sub))]), "oracle-subsample"
+    return PointCloud(sub[exact_extreme_points(PointCloud(sub))]), "oracle-subsample"
 
 
 def _probes(args, dim: int):
@@ -196,8 +192,6 @@ def _sketch_from_json(path: str, cloud: PointCloud) -> CurvatureSketch:
 
 
 def cmd_compress(args) -> None:
-    if not 0.0 <= args.beta < math.inf:  # a NaN or infinite beta would corrupt the JSON
-        raise CliValidationError("beta must be finite and nonnegative")
     _check_oracle_cap(args)
     t0 = time.perf_counter()
     cloud = PointCloud(read_matrix(args.points_path))
@@ -287,11 +281,11 @@ def cmd_error(args) -> None:
     outer = OuterHull(normals=normals, offsets=offsets)
 
     reference, reference_tag = _reference(cloud, args.seed, args.oracle_cap)
-    inner_val = inner_error(reference, VertexPolytope(kept))
+    inner_val = inner_error(reference, PointCloud(kept))
 
     outer_val, outer_method, n_probes = None, None, 0
     if args.probes > 0 or cloud.dim == 2:
-        result = outer_error(outer, VertexPolytope(cloud.points), _probes(args, cloud.dim))
+        result = outer_error(outer, cloud, _probes(args, cloud.dim))
         outer_val, outer_method, n_probes = result.value, result.method, result.n_probes
 
     n_found = -1
@@ -391,9 +385,8 @@ def bench_rows(args) -> list[dict]:
     dirs = sample_uniform(schedule[-1], cloud.dim, args.seed)
     full = build_sketch(cloud, dirs)
     reference, reference_tag = _reference(cloud, args.seed, args.oracle_cap)
-    hull = VertexPolytope(cloud.points)
     probes = _probes(args, cloud.dim)
-    h_true = None if probes is None else probe_support(hull, probes)
+    h_true = None if probes is None else probe_support(cloud, probes)
 
     rows = []
     for m in schedule:
@@ -404,9 +397,9 @@ def bench_rows(args) -> list[dict]:
         )
         inner_val = math.inf
         if len(inner_m) > 0:
-            inner_val = inner_error(reference, VertexPolytope(inner_m.select(cloud)))
+            inner_val = inner_error(reference, PointCloud(inner_m.select(cloud)))
         outer = outer_error(
-            outer_hull(sketch_m, cloud, prefix_dirs), hull, probes, h_true=h_true
+            outer_hull(sketch_m, cloud, prefix_dirs), cloud, probes, h_true=h_true
         )
         rows.append(
             {
@@ -554,6 +547,7 @@ def main(argv=None) -> int:
     except (
         ConvergenceError,
         EmptyOuterHullError,
+        LinearProgramError,
         UnboundedOuterHullError,
         NoConstraintsSurvivedError,
         FloatingPointError,

@@ -35,6 +35,8 @@ VERTEX_ORDERS = ("decreasing", "paper-increasing")
 HYPERPLANE_VARIANTS = ("recursive", "gamma-threshold")
 # Directions sampled for the recursive variant's sketch of each bundle.
 INNER_DIRS = 2048
+# Gram entries formed at once when merging near-parallel directions (2 MB).
+_GRAM_ENTRIES = 1 << 18
 
 
 class NoConstraintsSurvivedError(RuntimeError):
@@ -81,8 +83,8 @@ def vertex_compress(
     highest-curvature member; ``order="paper-increasing"`` walks lowest
     curvature first.
     """
-    if beta < 0:
-        raise ValueError("beta must be nonnegative")
+    if not 0.0 <= beta < np.inf:
+        raise ValueError("beta must be finite and nonnegative")
     if order not in VERTEX_ORDERS:
         raise ValueError(f"unknown order {order!r}; expected one of {VERTEX_ORDERS}")
     kept = inner.kept_indices
@@ -149,12 +151,17 @@ def _angular_components(dirs: np.ndarray, merge_angle: float) -> list[np.ndarray
         return i
 
     cos_thresh = np.cos(merge_angle)
-    gram = dirs @ dirs.T
-    ii, jj = np.nonzero(np.triu(gram > cos_thresh, k=1))
-    for i, j in zip(ii, jj):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
+    # The Gram matrix a block of rows at a time, so memory stays bounded; the
+    # edges (i < j) come in the row-major order of the whole matrix.
+    rows = max(1, _GRAM_ENTRIES // k)
+    for lo in range(0, k, rows):
+        ii, jj = np.nonzero(dirs[lo : lo + rows] @ dirs.T > cos_thresh)
+        ii += lo
+        upper = jj > ii
+        for i, j in zip(ii[upper], jj[upper]):
+            ri, rj = find(i), find(j)
+            if ri != rj:
+                parent[max(ri, rj)] = min(ri, rj)
     roots = np.array([find(i) for i in range(k)])
     return [np.flatnonzero(roots == r) for r in np.unique(roots)]
 

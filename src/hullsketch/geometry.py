@@ -1,8 +1,9 @@
 """Exact geometric primitives shared by the whole library.
 
-Projection of a point onto the convex hull of a vertex set (Wolfe-style
-min-norm point), Hausdorff distance between vertex polytopes, and an exact
-extreme-point oracle for desk-scale verification.
+One point-set type, :class:`PointCloud`, stands for a cloud and for the
+hull of its rows alike.  On it: projection of a point onto that hull
+(Wolfe-style min-norm point), the Hausdorff distance between two hulls, and
+an exact extreme-point oracle for desk-scale verification.
 
 Every tolerance is the fixed ``DEFAULT_TOL``, applied where the data's
 largest coordinate extent lies in [1/2, 1): the one frame helper
@@ -29,7 +30,6 @@ import numpy as np
 
 __all__ = [
     "PointCloud",
-    "VertexPolytope",
     "ConvergenceError",
     "ProjectionResult",
     "project_onto_hull",
@@ -46,16 +46,6 @@ DEFAULT_TOL = 1e-9
 _QHULL_MAX_DIM = 5
 
 
-def _frozen_matrix(values, name: str) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64, copy=True)
-    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-        raise ValueError(f"{name} must be a nonempty 2-d array, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must contain only finite values")
-    arr.setflags(write=False)
-    return arr
-
-
 def _check_vector(d, dim: int) -> np.ndarray:
     d = np.asarray(d, dtype=np.float64)
     if d.shape != (dim,):
@@ -67,12 +57,19 @@ def _check_vector(d, dim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PointCloud:
-    """A finite set of points in R^n with stable row indices 0..N-1."""
+    """A finite set of points in R^n with stable row indices 0..N-1; read
+    as a polytope, the convex hull of its rows."""
 
     points: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "points", _frozen_matrix(self.points, "points"))
+        arr = np.array(self.points, dtype=np.float64, copy=True)
+        if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
+            raise ValueError(f"points must be a nonempty 2-d array, got shape {arr.shape}")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("points must contain only finite values")
+        arr.setflags(write=False)
+        object.__setattr__(self, "points", arr)
 
     @property
     def dim(self) -> int:
@@ -80,23 +77,6 @@ class PointCloud:
 
     def __len__(self) -> int:
         return self.points.shape[0]
-
-
-@dataclass(frozen=True)
-class VertexPolytope:
-    """A polytope given by a nonempty list of (claimed) extreme points."""
-
-    vertices: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "vertices", _frozen_matrix(self.vertices, "vertices"))
-
-    @property
-    def dim(self) -> int:
-        return self.vertices.shape[1]
-
-    def __len__(self) -> int:
-        return self.vertices.shape[0]
 
 
 class ConvergenceError(RuntimeError):
@@ -114,10 +94,10 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class ProjectionResult:
-    """Outcome of projecting a point onto a vertex polytope.
+    """Outcome of projecting a point onto the hull of a point set.
 
-    ``weights`` is a dense convex-combination vector over the polytope's
-    vertices reconstructing ``point``.
+    ``weights`` is a dense convex-combination vector over the set's rows
+    reconstructing ``point``.
     """
 
     point: np.ndarray
@@ -144,8 +124,8 @@ def _affine_min_norm(gram: np.ndarray) -> np.ndarray:
     return sol[1:]
 
 
-def project_onto_hull(x, hull: VertexPolytope, max_iter: int | None = None) -> ProjectionResult:
-    """Project ``x`` onto ``CH(hull.vertices)`` by Wolfe's min-norm-point scheme.
+def project_onto_hull(x, hull: PointCloud, max_iter: int | None = None) -> ProjectionResult:
+    """Project ``x`` onto ``CH(hull.points)`` by Wolfe's min-norm-point scheme.
 
     The objective ``||y - x||`` is monotone non-increasing across major
     cycles.  Iteration stops when the support-gap certificate guarantees the
@@ -158,7 +138,7 @@ def project_onto_hull(x, hull: VertexPolytope, max_iter: int | None = None) -> P
     returned distance carries that inherent uncertainty.
     """
     x = _check_vector(x, hull.dim)
-    q = hull.vertices - x  # work relative to x: minimise ||y|| over CH(q)
+    q = hull.points - x  # work relative to x: minimise ||y|| over CH(q)
     n_vert = q.shape[0]
     if max_iter is None:
         max_iter = 10 * n_vert * hull.dim + 50
@@ -259,26 +239,26 @@ def unit_frame(points: np.ndarray) -> UnitFrame:
     return UnitFrame(scale, lo, hi - lo, (lo + hi) * (0.5 / scale), exponent)
 
 
-def farthest_distance(rows: np.ndarray, hull: VertexPolytope, frame_of: np.ndarray) -> float:
-    """Largest distance from a row of ``rows`` to ``CH(hull.vertices)``, projected
+def farthest_distance(rows: np.ndarray, hull: PointCloud, frame_of: np.ndarray) -> float:
+    """Largest distance from a row of ``rows`` to ``CH(hull.points)``, projected
     in the :func:`unit_frame` of ``frame_of`` and scaled back."""
     exponent = unit_frame(frame_of).exponent
-    scaled = VertexPolytope(np.ldexp(hull.vertices, -exponent))
+    scaled = PointCloud(np.ldexp(hull.points, -exponent))
     worst = max(project_onto_hull(v, scaled).distance for v in np.ldexp(rows, -exponent))
     return math.ldexp(worst, exponent)
 
 
-def hausdorff(p: VertexPolytope, q: VertexPolytope) -> float:
-    """Hausdorff distance between two vertex polytopes.
+def hausdorff(p: PointCloud, q: PointCloud) -> float:
+    """Hausdorff distance between the hulls of two point sets.
 
     Because the supremum of the distance function over a polytope is attained
-    at a vertex, only vertices need to be projected onto the opposite hull,
-    both ways in the unit frame of all the vertices.
+    at a vertex, only the rows need to be projected onto the opposite hull,
+    both ways in the unit frame of all the rows.
     """
     if p.dim != q.dim:
         raise ValueError("polytopes must share a dimension")
-    both = np.vstack([p.vertices, q.vertices])
-    return max(farthest_distance(p.vertices, q, both), farthest_distance(q.vertices, p, both))
+    both = np.vstack([p.points, q.points])
+    return max(farthest_distance(p.points, q, both), farthest_distance(q.points, p, both))
 
 
 def _qhull_candidates(rows: np.ndarray) -> np.ndarray:
@@ -327,7 +307,7 @@ def exact_extreme_points(cloud: PointCloud) -> np.ndarray:
     rows = np.ldexp(rows - frame.centre, -frame.exponent)
     out = []
     for i in _qhull_candidates(rows):
-        others = VertexPolytope(np.delete(rows, i, axis=0))
+        others = PointCloud(np.delete(rows, i, axis=0))
         if project_onto_hull(rows[i], others).distance > DEFAULT_TOL:
             out.append(first[i])
     return np.sort(np.array(out, dtype=np.int64))

@@ -18,6 +18,9 @@ count grows superlinearly in M (a 5-d simplex sketch with M = 70,000 gave
 151k vertices after 35 s and ~800 MB on a 2-CPU Xeon, against 8.5 s for 20
 LPs; at M = 5,000, 0.57 s against 1.48 s for 50 LPs).
 
+The reference hull and the kept set are both a :class:`PointCloud`, read
+as the convex hull of its rows.
+
 ``scipy.spatial`` and ``scipy.optimize`` are imported inside the functions
 that call Qhull or HiGHS, so only a run that needs them pays for them.  Keep
 any new scipy import function-local for the same reason.
@@ -30,11 +33,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .directions import DirectionSet
-from .geometry import VertexPolytope, farthest_distance
+from .geometry import PointCloud, farthest_distance
 from .sketch import OuterHull
 
 __all__ = [
     "EmptyOuterHullError",
+    "LinearProgramError",
     "OuterErrorResult",
     "UnboundedOuterHullError",
     "inner_error",
@@ -56,6 +60,11 @@ class EmptyOuterHullError(RuntimeError):
     """The halfspaces have no point in common (in 2-d: no interior point)."""
 
 
+class LinearProgramError(RuntimeError):
+    """HiGHS stopped without an optimum, for instance at an iteration limit,
+    and without proving its LP infeasible or unbounded."""
+
+
 @dataclass(frozen=True)
 class OuterErrorResult:
     value: float
@@ -63,16 +72,16 @@ class OuterErrorResult:
     n_probes: int
 
 
-def inner_error(true_extremes: VertexPolytope, inner: VertexPolytope) -> float:
-    """Largest distance from a reference vertex to the hull of kept points.
+def inner_error(true_extremes: PointCloud, inner: PointCloud) -> float:
+    """Largest distance from a reference row to the hull of the kept rows.
 
-    Only vertices of the reference need checking: the distance function to a
+    Only rows of the reference need checking: the distance function to a
     convex set is convex, so its supremum over a polytope is attained at a
     vertex.  Both hulls are judged in the unit frame of the reference.
     """
     if true_extremes.dim != inner.dim:
         raise ValueError("dimension mismatch between reference and inner hull")
-    return farthest_distance(true_extremes.vertices, inner, true_extremes.vertices)
+    return farthest_distance(true_extremes.points, inner, true_extremes.points)
 
 
 def support_under_constraints(outer: OuterHull, d) -> float:
@@ -87,13 +96,18 @@ def support_under_constraints(outer: OuterHull, d) -> float:
         bounds=[(None, None)] * outer.dim,
         method="highs",
     )
+    _check_lp(res, "support")
+    return float(-res.fun)
+
+
+def _check_lp(res, what: str) -> None:
+    """Raise this module's error for a HiGHS result that is not an optimum."""
     if res.status == 2:
         raise EmptyOuterHullError("outer hull is empty")
     if res.status == 3:
         raise UnboundedOuterHullError("outer hull unbounded")
     if not res.success:
-        raise RuntimeError(f"support LP failed: {res.message}")
-    return float(-res.fun)
+        raise LinearProgramError(f"{what} LP failed: {res.message}")
 
 
 def _centred(outer: OuterHull, origin: np.ndarray) -> tuple[OuterHull, float]:
@@ -115,10 +129,7 @@ def _chebyshev_centre(outer: OuterHull, origin: np.ndarray) -> np.ndarray:
     a_ub = np.column_stack([outer.normals, np.ones(len(outer))])
     bounds = [(None, None), (None, None), (0, None)]
     res = linprog([0, 0, -1], A_ub=a_ub, b_ub=centred.offsets, bounds=bounds, method="highs")
-    if res.status == 2:
-        raise EmptyOuterHullError("outer hull is empty")
-    if not res.success:
-        raise RuntimeError(f"Chebyshev centre LP failed: {res.message}")
+    _check_lp(res, "Chebyshev centre")
     if res.x[2] <= 0:
         raise EmptyOuterHullError("outer hull has no interior")
     return origin + unit * res.x[:2]
@@ -174,13 +185,13 @@ def _outer_vertices(outer: OuterHull, interior: np.ndarray) -> np.ndarray | None
     return interior + verts @ frame
 
 
-def probe_support(hull: VertexPolytope, probes: DirectionSet) -> np.ndarray:
-    """``h(d) = max_v v . d`` of a vertex polytope along every probe.
+def probe_support(hull: PointCloud, probes: DirectionSet) -> np.ndarray:
+    """``h(d) = max_v v . d`` of the hull of a point set along every probe.
 
     Judging many outer hulls against one reference, compute this once and
     pass it to :func:`outer_error` as ``h_true``.
     """
-    return np.array([float(np.max(hull.vertices @ d)) for d in probes.directions])
+    return np.array([float(np.max(hull.points @ d)) for d in probes.directions])
 
 
 def outer_support(outer: OuterHull, probes: DirectionSet, interior: np.ndarray) -> np.ndarray:
@@ -194,7 +205,7 @@ def outer_support(outer: OuterHull, probes: DirectionSet, interior: np.ndarray) 
     """
     verts = _outer_vertices(outer, interior) if outer.dim <= 3 else None
     if verts is not None:
-        return probe_support(VertexPolytope(verts), probes)
+        return probe_support(PointCloud(verts), probes)
     centred, unit = _centred(outer, interior)
     h = np.array([support_under_constraints(centred, d) for d in probes.directions])
     return probes.directions @ interior + unit * h
@@ -202,7 +213,7 @@ def outer_support(outer: OuterHull, probes: DirectionSet, interior: np.ndarray) 
 
 def outer_error(
     outer: OuterHull,
-    true_extremes: VertexPolytope,
+    true_extremes: PointCloud,
     probes: DirectionSet | None = None,
     h_true: np.ndarray | None = None,
 ) -> OuterErrorResult:
@@ -222,13 +233,13 @@ def outer_error(
     if outer.dim != true_extremes.dim:
         raise ValueError("dimension mismatch")
     if outer.dim == 2:
-        centroid = true_extremes.vertices.mean(axis=0)
+        centroid = true_extremes.points.mean(axis=0)
         verts = _outer_vertices(outer, centroid)
         if verts is None:
             verts = _outer_vertices(outer, _chebyshev_centre(outer, centroid))
         if verts is None:
             raise EmptyOuterHullError("outer hull has no interior")
-        value = farthest_distance(verts, true_extremes, true_extremes.vertices)  # as inner_error
+        value = farthest_distance(verts, true_extremes, true_extremes.points)  # as inner_error
         return OuterErrorResult(value, EXACT_2D, 0)
     if probes is None:
         raise ValueError("probe directions are required for the support-gap estimate")
@@ -236,6 +247,6 @@ def outer_error(
         raise ValueError("probe dimension mismatch")
     if h_true is None:
         h_true = probe_support(true_extremes, probes)
-    h_out = outer_support(outer, probes, true_extremes.vertices.mean(axis=0))
+    h_out = outer_support(outer, probes, true_extremes.points.mean(axis=0))
     gap = float(np.max(h_out - h_true, initial=0.0))
     return OuterErrorResult(value=gap, method=SUPPORT_GAP, n_probes=len(probes))

@@ -227,7 +227,7 @@ def support_gap(outer, ref, probes) -> float:
     """
     from hullsketch.metrics import outer_support, probe_support
 
-    h_out = outer_support(outer, probes, ref.vertices.mean(axis=0))
+    h_out = outer_support(outer, probes, ref.points.mean(axis=0))
     return float(np.max(h_out - probe_support(ref, probes), initial=0.0))
 
 

@@ -15,7 +15,6 @@ from hullsketch import (
     BoundQuery,
     PointCloud,
     ShapeSpec,
-    VertexPolytope,
     aleksandrov_bound,
     build_sketch,
     direction_count_bound,
@@ -178,7 +177,7 @@ def test_criterion_06_vertex_compression_hausdorff_under_beta():
         beta = float(rng.uniform(0.05, 0.6))
         compressed, _ = vertex_compress(inner, cloud, beta)
         dist = hausdorff(
-            VertexPolytope(inner.select(cloud)), VertexPolytope(compressed.select(cloud))
+            PointCloud(inner.select(cloud)), PointCloud(compressed.select(cloud))
         )
         worst_margin = max(worst_margin, dist - beta)
         runs += 1
@@ -215,7 +214,7 @@ def test_criterion_07_aleksandrov_bound_holds():
         pts -= pts.mean(axis=0)
         r = float(np.linalg.norm(pts, axis=1).max())
         keep, omega, n_drop = _drop_low_curvature(pts, polygon_vertex_curvatures(pts), 0.05)
-        dist = hausdorff(VertexPolytope(pts), VertexPolytope(pts[keep]))
+        dist = hausdorff(PointCloud(pts), PointCloud(pts[keep]))
         worst = max(worst, dist - aleksandrov_bound(r, 2, omega))
         runs += 1
     for trial in range(50):  # 3-d polytopes on a sphere: solid-angle oracle
@@ -231,7 +230,7 @@ def test_criterion_07_aleksandrov_bound_holds():
         }
         assert abs(sum(curv.values()) - 1.0) < 1e-6  # oracle self-check
         keep, omega, n_drop = _drop_low_curvature(pts, curv, 0.05)
-        dist = hausdorff(VertexPolytope(pts), VertexPolytope(pts[keep]))
+        dist = hausdorff(PointCloud(pts), PointCloud(pts[keep]))
         worst = max(worst, dist - aleksandrov_bound(r, 3, omega))
         runs += 1
     _report(

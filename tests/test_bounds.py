@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from hullsketch import (
     BoundQuery,
     PointCloud,
-    VertexPolytope,
     aleksandrov_bound,
     build_sketch,
     cap_lower_bound,
@@ -112,7 +111,7 @@ def test_aleksandrov_empirical_2d_polygon():
         if not dropped:
             continue
         keep = [i for i in range(k) if i not in dropped]
-        dist = hausdorff(VertexPolytope(pts), VertexPolytope(pts[keep]))
+        dist = hausdorff(PointCloud(pts), PointCloud(pts[keep]))
         assert dist <= aleksandrov_bound(r, 2, omega) + 1e-9
 
 

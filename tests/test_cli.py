@@ -206,15 +206,16 @@ def test_error_command_reports(tmp_path):
     pts_path = gen_simplex(tmp_path, n=150, seed=41)
     assert run([
         "sketch", "--in", str(pts_path), "--dirs", "200", "--alpha", "0",
-        "--seed", "11", "--out-prefix", str(tmp_path / "e"),
+        "--seed", "11", "--out-prefix", str(tmp_path / "e"), "--save-sketch",
     ]) == 0
     out = tmp_path / "report.json"
     assert run([
         "error", "--in", str(pts_path), "--inner", str(tmp_path / "e_inner.csv"),
         "--halfspaces", str(tmp_path / "e_halfspaces.csv"), "--out", str(out),
-        "--seed", "11",
+        "--seed", "11", "--sketch-json", str(tmp_path / "e_sketch.json"),
     ]) == 0
     report = json.loads(out.read_text())
+    assert report["n_found"] == json.loads((tmp_path / "e_summary.json").read_text())["n_found"] > 0
     assert report["inner_error"] >= 0
     assert report["outer_error"] >= 0
     assert report["outer_method"] == "exact-2d"
@@ -416,6 +417,35 @@ def test_2d_outer_hull_without_interior_exits_two(tmp_path, capsys, rows, messag
         "error", "--in", str(pts_path), "--inner", str(inner), "--halfspaces", str(hs), "--out", str(out),
     ]) == 2
     assert capsys.readouterr().err == f"numerical failure: {message}\n"
+    assert not out.exists()
+
+
+def stopped_lp(*args, **kwargs):
+    from scipy.optimize import OptimizeResult
+
+    return OptimizeResult(status=4, success=False, message="numerical difficulties", x=None, fun=None)
+
+
+@pytest.mark.parametrize("dims, what", [(4, "support"), (2, "Chebyshev centre")])
+def test_lp_failure_exits_two_without_traceback(tmp_path, capsys, monkeypatch, dims, what):
+    pts_path = gen_simplex(tmp_path, n=60, seed=84, dims=dims)
+    if dims == 2:  # the centroid (1/3, 1/3) is outside x <= 0, so the Chebyshev LP runs
+        hs = tmp_path / "hs.csv"
+        hs.write_text("1,0,0\n-1,0,1\n0,1,1\n0,-1,1\n")
+    else:  # in 4-d every probe solves a support LP
+        assert run([
+            "sketch", "--in", str(pts_path), "--dirs", "100", "--out-prefix", str(tmp_path / "s"),
+        ]) == 0
+        hs = tmp_path / "s_halfspaces.csv"
+    inner = tmp_path / "inner.csv"
+    write_matrix(inner, read_matrix(pts_path)[:3])
+    monkeypatch.setattr("scipy.optimize.linprog", stopped_lp)
+    out = tmp_path / "r.json"
+    assert run([
+        "error", "--in", str(pts_path), "--inner", str(inner), "--halfspaces", str(hs),
+        "--probes", "5", "--out", str(out),
+    ]) == 2
+    assert capsys.readouterr().err == f"numerical failure: {what} LP failed: numerical difficulties\n"
     assert not out.exists()
 
 

@@ -7,7 +7,6 @@ from hullsketch import (
     CurvatureSketch,
     NoConstraintsSurvivedError,
     PointCloud,
-    VertexPolytope,
     build_sketch,
     direction_bundle,
     hausdorff,
@@ -59,8 +58,9 @@ def test_beta_zero_is_identity():
 
 def test_negative_beta_rejected():
     cloud, sketch, inner = crafted([[0.0, 0.0], [1.0, 1.0]], [1, 1], 2)
-    with pytest.raises(ValueError):
-        vertex_compress(inner, cloud, beta=-0.5)
+    for beta in (-0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="beta must be finite and nonnegative"):
+            vertex_compress(inner, cloud, beta=beta)
     with pytest.raises(ValueError):
         vertex_compress(inner, cloud, beta=0.5, order="sideways")
 
@@ -93,8 +93,8 @@ def test_hausdorff_under_beta_randomized():
         inner = threshold_filter(sketch, 0.0)
         beta = float(rng.uniform(0.05, 0.6))
         comp, _ = vertex_compress(inner, cloud, beta)
-        before = VertexPolytope(inner.select(cloud))
-        after = VertexPolytope(comp.select(cloud))
+        before = PointCloud(inner.select(cloud))
+        after = PointCloud(comp.select(cloud))
         assert hausdorff(before, after) < beta
 
 
@@ -161,6 +161,42 @@ def test_hyperplane_recovers_triangle_facets():
         matched.add(int(angles.argmin()))
     assert matched == {0, 1, 2}  # one cluster per facet
     assert satisfies(hull, cloud.points)
+
+
+def test_recursive_variant_with_inner_beta_keeps_every_point_inside():
+    from hullsketch import ShapeSpec, generate
+
+    cloud = generate(ShapeSpec(kind="cube", dim=3, count=3000, seed=21))
+    kwargs = dict(n_dirs=1500, beta=0.2, seed=22, inner_alpha=0.02)
+    _, _, plain = run_hyperplane(cloud, **kwargs)
+    _, _, hull = run_hyperplane(cloud, inner_beta=0.3, **kwargs)
+    assert 0 < len(hull) < len(plain)  # the radius compression of each bundle drops directions
+    assert satisfies(hull, cloud.points)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5])
+def test_angular_components_match_the_dense_gram_in_bounded_memory(dim):
+    import tracemalloc
+
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    from hullsketch.compression import _angular_components
+
+    dirs = sample_uniform(3000, dim, seed=23).directions
+    angle = math.pi / 36
+    tracemalloc.start()
+    try:
+        got = _angular_components(dirs, angle)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20  # the dense 3,000 x 3,000 Gram alone takes 69 MiB
+    edges = csr_matrix(np.triu(dirs @ dirs.T > math.cos(angle), k=1))
+    n, labels = connected_components(edges, directed=False)
+    want = sorted((np.flatnonzero(labels == c) for c in range(n)), key=lambda c: c[0])
+    assert len(got) == n
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 def test_merge_angle_monotonicity():

@@ -9,7 +9,6 @@ from hullsketch import (
     DirectionSet,
     PointCloud,
     ShapeSpec,
-    VertexPolytope,
     build_sketch,
     exact_extreme_points,
     generate,
@@ -73,22 +72,22 @@ def test_support_value_invariant_under_permutation(seed):
     d = rng.standard_normal(3)
     perm = rng.permutation(20)
     dirs = one_direction(d)
-    v1 = probe_support(VertexPolytope(pts), dirs)[0]
-    assert probe_support(VertexPolytope(pts[perm]), dirs)[0] == v1
+    v1 = probe_support(PointCloud(pts), dirs)[0]
+    assert probe_support(PointCloud(pts[perm]), dirs)[0] == v1
     scores = pts @ dirs.directions[0]
     idx2 = winner(PointCloud(pts[perm]), d)
     assert scores[perm[idx2]] == v1  # permuted winner is an original argmax
 
 
 def test_min_norm_segment_endpoint():
-    hull = VertexPolytope([[0.0, 0.0], [1.0, 0.0]])
+    hull = PointCloud([[0.0, 0.0], [1.0, 0.0]])
     res = project_onto_hull(np.array([2.0, 0.0]), hull)
     assert res.distance == pytest.approx(1.0, abs=1e-9)
     assert np.allclose(res.point, [1.0, 0.0], atol=1e-9)
 
 
 def test_min_norm_triangle_analytic():
-    dist = project_onto_hull(np.array([1.0, 1.0]), VertexPolytope(TRIANGLE)).distance
+    dist = project_onto_hull(np.array([1.0, 1.0]), PointCloud(TRIANGLE)).distance
     assert dist == pytest.approx(1 / math.sqrt(2), abs=1e-9)
     # brute-force barycentric grid agrees to grid resolution
     grid = grid_min_distance(np.array([1.0, 1.0]), TRIANGLE, steps=400)
@@ -96,7 +95,7 @@ def test_min_norm_triangle_analytic():
 
 
 def test_min_norm_inside_hull_is_zero():
-    assert project_onto_hull(np.array([0.2, 0.3]), VertexPolytope(TRIANGLE)).distance <= 1e-9
+    assert project_onto_hull(np.array([0.2, 0.3]), PointCloud(TRIANGLE)).distance <= 1e-9
 
 
 @settings(max_examples=25, deadline=None)
@@ -105,7 +104,7 @@ def test_projection_returns_convex_combination(seed):
     rng = np.random.default_rng(seed)
     verts = rng.standard_normal((12, 3))
     x = rng.standard_normal(3) * 2
-    res = project_onto_hull(x, VertexPolytope(verts))
+    res = project_onto_hull(x, PointCloud(verts))
     assert res.weights.min() >= -1e-12
     assert abs(res.weights.sum() - 1.0) <= 1e-9
     assert np.allclose(res.weights @ verts, res.point, atol=1e-8)
@@ -117,20 +116,20 @@ def test_projection_convergence_error_carries_best_iterate():
     verts = rng.standard_normal((50, 5))
     verts /= np.linalg.norm(verts, axis=1, keepdims=True)
     with pytest.raises(ConvergenceError) as err:
-        project_onto_hull(2 * np.eye(5)[0], VertexPolytope(verts), max_iter=1)
+        project_onto_hull(2 * np.eye(5)[0], PointCloud(verts), max_iter=1)
     assert err.value.point is not None
     assert err.value.distance is not None
     assert err.value.gap > 0
 
 
 def test_hausdorff_identical_is_zero():
-    square = VertexPolytope(SQUARE)
+    square = PointCloud(SQUARE)
     assert hausdorff(square, square) <= 1e-12
 
 
 def test_hausdorff_square_vs_triangle():
-    p = VertexPolytope([[0, 0], [1, 0], [0, 1], [1, 1]])
-    q = VertexPolytope([[0, 0], [1, 0], [0, 1]])
+    p = PointCloud([[0, 0], [1, 0], [0, 1], [1, 1]])
+    q = PointCloud([[0, 0], [1, 0], [0, 1]])
     assert hausdorff(p, q) == pytest.approx(1 / math.sqrt(2), abs=1e-9)
     # grid oracle: farthest point of the square from the triangle
     grid = grid_min_distance(np.array([1.0, 1.0]), np.array([[0, 0], [1, 0], [0, 1]]))
@@ -138,10 +137,10 @@ def test_hausdorff_square_vs_triangle():
 
 
 def test_hausdorff_one_sided_when_nested():
-    inner = VertexPolytope([[0.2, 0.2], [0.5, 0.2], [0.2, 0.5]])
-    outer = VertexPolytope(SQUARE)
+    inner = PointCloud([[0.2, 0.2], [0.5, 0.2], [0.2, 0.5]])
+    outer = PointCloud(SQUARE)
     one_sided = max(
-        project_onto_hull(v, inner).distance for v in outer.vertices
+        project_onto_hull(v, inner).distance for v in outer.points
     )
     assert hausdorff(inner, outer) == pytest.approx(one_sided, abs=1e-9)
 
@@ -150,7 +149,7 @@ def test_hausdorff_one_sided_when_nested():
 @given(st.integers(0, 2**32 - 1))
 def test_hausdorff_metric_properties(seed):
     rng = np.random.default_rng(seed)
-    polys = [VertexPolytope(rng.standard_normal((6, 2))) for _ in range(3)]
+    polys = [PointCloud(rng.standard_normal((6, 2))) for _ in range(3)]
     d01 = hausdorff(polys[0], polys[1])
     d10 = hausdorff(polys[1], polys[0])
     assert d01 == pytest.approx(d10, abs=1e-9)
@@ -167,9 +166,9 @@ def test_hausdorff_does_not_depend_on_units(seed):
     # tolerance scales with the data and every scale converges
     rng = np.random.default_rng(seed)
     p, q = rng.standard_normal((30, 3)), rng.standard_normal((20, 3))
-    unit = hausdorff(VertexPolytope(p), VertexPolytope(q))
+    unit = hausdorff(PointCloud(p), PointCloud(q))
     for scale in (2.0**-40, 2.0**40, 1e-9, 1e-6, 1e9):
-        got = hausdorff(VertexPolytope(p * scale), VertexPolytope(q * scale))
+        got = hausdorff(PointCloud(p * scale), PointCloud(q * scale))
         assert got / scale == pytest.approx(unit, rel=1e-12), scale
 
 
@@ -205,7 +204,7 @@ def test_exact_extreme_invariant_to_interior_points():
     rng = np.random.default_rng(7)
     pts = rng.standard_normal((40, 2))
     base = set(exact_extreme_points(PointCloud(pts)).tolist())
-    hull = VertexPolytope(pts[sorted(base)])
+    hull = PointCloud(pts[sorted(base)])
     centroid = pts.mean(axis=0)
     fillers = centroid + 0.25 * (rng.random((10, 2)) - 0.5)
     for f in fillers:  # all strictly inside the hull by construction
@@ -305,7 +304,7 @@ def test_pushed_and_flat_clouds_exercise_the_intended_paths():
 
 def test_support_value_square():
     dirs = DirectionSet(np.array([[1.0, 0.0], [1.0, 1.0]]) / [[1.0], [math.sqrt(2)]], seed=0)
-    h = probe_support(VertexPolytope(SQUARE), dirs)
+    h = probe_support(PointCloud(SQUARE), dirs)
     assert h[0] == 1.0
     assert h[1] == pytest.approx(math.sqrt(2))
 
@@ -316,7 +315,7 @@ def test_support_value_matches_support_op():
     d = rng.standard_normal(4)
     dirs = one_direction(d)
     idx = winner(PointCloud(pts), d)
-    assert probe_support(VertexPolytope(pts), dirs)[0] == (pts @ dirs.directions[0])[idx]
+    assert probe_support(PointCloud(pts), dirs)[0] == (pts @ dirs.directions[0])[idx]
 
 
 def test_pointcloud_validation():

@@ -9,7 +9,6 @@ from hullsketch import (
     OuterHull,
     PointCloud,
     UnboundedOuterHullError,
-    VertexPolytope,
     build_sketch,
     inner_error,
     outer_error,
@@ -49,13 +48,13 @@ def axis_square_outer():
 
 
 def test_inner_error_zero_for_identical():
-    square = VertexPolytope(SQUARE)
+    square = PointCloud(SQUARE)
     assert inner_error(square, square) <= 1e-9
 
 
 def test_inner_error_missing_corner_analytic():
-    true = VertexPolytope(SQUARE)
-    inner = VertexPolytope([[-1, -1], [1, -1], [-1, 1]])
+    true = PointCloud(SQUARE)
+    inner = PointCloud([[-1, -1], [1, -1], [-1, 1]])
     val = inner_error(true, inner)
     assert val == pytest.approx(math.sqrt(2), abs=1e-9)
     grid = grid_min_distance(np.array([1.0, 1.0]), np.array([[-1, -1], [1, -1], [-1, 1]]))
@@ -65,55 +64,55 @@ def test_inner_error_missing_corner_analytic():
 @pytest.mark.filterwarnings("error")  # an overflowing extent must not reach LAPACK
 def test_inner_error_scales_with_the_data():
     # one corner of the cube pulled in; at 2**1023 the cube's extent overflows
-    inner = VertexPolytope(np.vstack([CUBE[:-1], [0.5, 0.25, 0.5]]))
-    unit = inner_error(VertexPolytope(CUBE), inner)
+    inner = PointCloud(np.vstack([CUBE[:-1], [0.5, 0.25, 0.5]]))
+    unit = inner_error(PointCloud(CUBE), inner)
     assert unit > 0.5
     for scale in (2.0**-1000, 2.0**1023):  # exact: the unit frame is a power of two
-        got = inner_error(VertexPolytope(CUBE * scale), VertexPolytope(inner.vertices * scale))
+        got = inner_error(PointCloud(CUBE * scale), PointCloud(inner.points * scale))
         assert got / scale == unit, scale
     for scale in (1e-9, 1e9):
-        got = inner_error(VertexPolytope(CUBE * scale), VertexPolytope(inner.vertices * scale))
+        got = inner_error(PointCloud(CUBE * scale), PointCloud(inner.points * scale))
         assert got / scale == pytest.approx(unit, rel=1e-12), scale
 
 
 def test_inner_error_dim_mismatch():
     with pytest.raises(ValueError):
-        inner_error(VertexPolytope(SQUARE), VertexPolytope([[0.0, 0, 0]]))
+        inner_error(PointCloud(SQUARE), PointCloud([[0.0, 0, 0]]))
 
 
 def test_outer_error_zero_when_exact():
-    res = outer_error(axis_square_outer(), VertexPolytope(SQUARE))
+    res = outer_error(axis_square_outer(), PointCloud(SQUARE))
     assert res.method == EXACT_2D
     assert res.value <= 1e-9
 
 
 def test_outer_error_rotated_square_exact():
-    res = outer_error(rotated_square_outer(), VertexPolytope(SQUARE))
+    res = outer_error(rotated_square_outer(), PointCloud(SQUARE))
     assert res.value == pytest.approx(1.0, abs=1e-9)
 
 
 def test_support_gap_close_to_exact_2d():
     outer = rotated_square_outer()
     probes = sample_uniform(10_000, 2, seed=5)
-    est = support_gap(outer, VertexPolytope(SQUARE), probes)
-    exact = outer_error(outer, VertexPolytope(SQUARE))
+    est = support_gap(outer, PointCloud(SQUARE), probes)
+    exact = outer_error(outer, PointCloud(SQUARE))
     assert est >= 0.99 * exact.value
     assert est <= exact.value + 1e-9
 
 
 def test_outer_error_is_exact_in_2d_with_probes_too():
     outer = rotated_square_outer()
-    with_probes = outer_error(outer, VertexPolytope(SQUARE), sample_uniform(50, 2, seed=5))
+    with_probes = outer_error(outer, PointCloud(SQUARE), sample_uniform(50, 2, seed=5))
     assert with_probes.method == EXACT_2D
     assert with_probes.n_probes == 0
-    assert with_probes == outer_error(outer, VertexPolytope(SQUARE))
+    assert with_probes == outer_error(outer, PointCloud(SQUARE))
 
 
 @pytest.mark.parametrize("dim", [3, 4])
 def test_outer_error_needs_probes_above_2d(dim):
     outer = make_outer(np.vstack([np.eye(dim), -np.eye(dim)]), np.ones(2 * dim))
     with pytest.raises(ValueError, match="probe directions are required"):
-        outer_error(outer, VertexPolytope(np.eye(dim)))
+        outer_error(outer, PointCloud(np.eye(dim)))
 
 
 def test_triangle_face_normals_give_exact_outer_hull():
@@ -122,11 +121,11 @@ def test_triangle_face_normals_give_exact_outer_hull():
     faces = DirectionSet(np.array([[0.0, -1.0], [-1.0, 0.0], [s, s]]), seed=0)
     sk = build_sketch(tri, faces)
     hull = outer_hull(sk, tri, faces)
-    res = outer_error(hull, VertexPolytope(tri.points))
+    res = outer_error(hull, PointCloud(tri.points))
     assert res.value <= 1e-9
     # support-gap sweep agrees: no probe sees the outer hull reach beyond
     probes = sample_uniform(2000, 2, seed=3)
-    assert support_gap(hull, VertexPolytope(tri.points), probes) <= 1e-9
+    assert support_gap(hull, PointCloud(tri.points), probes) <= 1e-9
 
 
 def test_support_gap_agrees_with_exact_on_random_instance():
@@ -135,8 +134,8 @@ def test_support_gap_agrees_with_exact_on_random_instance():
     dirs = sample_uniform(50, 2, seed=13)
     sk = build_sketch(cloud, dirs)
     hull = outer_hull(sk, cloud, dirs)
-    exact = outer_error(hull, VertexPolytope(cloud.points)).value
-    est = support_gap(hull, VertexPolytope(cloud.points), sample_uniform(10_000, 2, seed=14))
+    exact = outer_error(hull, PointCloud(cloud.points)).value
+    est = support_gap(hull, PointCloud(cloud.points), sample_uniform(10_000, 2, seed=14))
     assert est <= exact + 1e-9
     assert est >= 0.99 * exact
 
@@ -144,7 +143,7 @@ def test_support_gap_agrees_with_exact_on_random_instance():
 def test_support_gap_3d_cube_vs_octahedron():
     normals = np.vstack([np.eye(3), -np.eye(3)])
     outer = make_outer(normals, np.ones(6))  # the cube [-1, 1]^3
-    octa = VertexPolytope(np.vstack([np.eye(3), -np.eye(3)]))
+    octa = PointCloud(np.vstack([np.eye(3), -np.eye(3)]))
     probes = sample_uniform(4000, 3, seed=6)
     est = outer_error(outer, octa, probes)
     assert est.method == SUPPORT_GAP
@@ -158,7 +157,7 @@ def test_support_gap_monotone_in_probes():
     outer = rotated_square_outer()
     probes = sample_uniform(512, 2, seed=7)
     vals = [
-        support_gap(outer, VertexPolytope(SQUARE), probes.prefix(m)) for m in (8, 32, 128, 512)
+        support_gap(outer, PointCloud(SQUARE), probes.prefix(m)) for m in (8, 32, 128, 512)
     ]
     assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
@@ -166,11 +165,11 @@ def test_support_gap_monotone_in_probes():
 def test_unbounded_2d_raises():
     outer = make_outer([[1.0, 0], [0, 1]], [1.0, 1.0])
     with pytest.raises(UnboundedOuterHullError):
-        outer_error(outer, VertexPolytope(SQUARE))
+        outer_error(outer, PointCloud(SQUARE))
     # three normals with y >= 0 leave (0, -1) a recession direction
     outer = make_outer([[1.0, 0], [0, 1], [-0.6, 0.8]], [1.0, 1.0, 1.0])
     with pytest.raises(UnboundedOuterHullError):
-        outer_error(outer, VertexPolytope(SQUARE))
+        outer_error(outer, PointCloud(SQUARE))
 
 
 def test_unbounded_lp_raises():
@@ -178,7 +177,7 @@ def test_unbounded_lp_raises():
     outer = make_outer(normals, np.ones(3))
     probes = sample_uniform(8, 3, seed=8)
     with pytest.raises(UnboundedOuterHullError):
-        outer_error(outer, VertexPolytope(np.eye(3)), probes)
+        outer_error(outer, PointCloud(np.eye(3)), probes)
 
 
 def test_unbounded_lp_raises_4d():
@@ -186,14 +185,14 @@ def test_unbounded_lp_raises_4d():
     outer = make_outer(np.eye(4), np.ones(4))
     probes = sample_uniform(8, 4, seed=8)
     with pytest.raises(UnboundedOuterHullError):
-        outer_error(outer, VertexPolytope(np.eye(4)), probes)
+        outer_error(outer, PointCloud(np.eye(4)), probes)
 
 
 def test_empty_2d_raises():
     # x <= -1 and x >= 1 bound the plane but share no point
     outer = make_outer([[1.0, 0], [-1, 0], [0, 1], [0, -1]], [-1.0, -1, 1, 1])
     with pytest.raises(EmptyOuterHullError):
-        outer_error(outer, VertexPolytope(SQUARE))
+        outer_error(outer, PointCloud(SQUARE))
 
 
 def test_outer_vertices_2d_enumeration():
@@ -219,7 +218,7 @@ def test_exact_2d_outer_error_matches_halfplane_oracle(monkeypatch, kind, m):
     outer = outer_hull(build_sketch(cloud, dirs), cloud, dirs)
     verts = halfplane_vertices(outer.normals, outer.offsets)
     want = max(polygon_distance(v, points) for v in verts)
-    assert outer_error(outer, VertexPolytope(points)).value == pytest.approx(want, rel=1e-9)
+    assert outer_error(outer, PointCloud(points)).value == pytest.approx(want, rel=1e-9)
     probes = sample_uniform(50, 2, seed=43)
     got = outer_support(outer, probes, points.mean(axis=0))
     extent = np.abs(points).max()
@@ -238,7 +237,7 @@ def test_2d_retries_at_the_chebyshev_centre(monkeypatch):
     monkeypatch.setattr(
         metrics, "_chebyshev_centre", lambda *a: calls.append(1) or chebyshev(*a)
     )
-    res = outer_error(outer, VertexPolytope(triangle))
+    res = outer_error(outer, PointCloud(triangle))
     assert calls == [1]
     assert res.value == pytest.approx(1 / (2 * math.sqrt(2)), rel=1e-12)
     want = max(polygon_distance(v, triangle) for v in halfplane_vertices(outer.normals, outer.offsets))
@@ -256,13 +255,13 @@ def test_errors_non_increasing_over_nested_directions():
     cloud = PointCloud(rng.standard_normal((150, 2)))
     dirs = sample_uniform(160, 2, seed=10)
     sketch_full = build_sketch(cloud, dirs)
-    reference = VertexPolytope(cloud.points)
+    reference = PointCloud(cloud.points)
     inner_vals, outer_vals = [], []
     for m in (20, 40, 80, 160):
         prefix = dirs.prefix(m)
         sub = build_sketch(cloud, prefix)
         inner = threshold_filter(sub, 0.0)
-        inner_vals.append(inner_error(reference, VertexPolytope(inner.select(cloud))))
+        inner_vals.append(inner_error(reference, PointCloud(inner.select(cloud))))
         outer_vals.append(outer_error(outer_hull(sub, cloud, prefix), reference).value)
     assert all(b <= a + 1e-9 for a, b in zip(inner_vals, inner_vals[1:]))
     assert all(b <= a + 1e-9 for a, b in zip(outer_vals, outer_vals[1:]))
@@ -321,7 +320,7 @@ def test_vertex_support_matches_lp(monkeypatch, name):
     # the largest absolute coordinate: a cloud offset by 1e9 is only given to eps * 1e9
     extent = np.abs(points).max()
     assert np.max(np.abs(got - want)) <= 1e-9 * extent
-    assert np.all(got >= probe_support(VertexPolytope(points), probes) - 1e-9 * extent)
+    assert np.all(got >= probe_support(PointCloud(points), probes) - 1e-9 * extent)
 
 
 UNBOUNDED_NORMALS = {
@@ -346,7 +345,7 @@ def test_vertex_path_unbounded_raises(monkeypatch, name, rotation):
         normals = normals @ q.T
     outer = make_outer(normals, np.full(len(normals), 10.0))
     with pytest.raises(UnboundedOuterHullError):
-        outer_error(outer, VertexPolytope(CUBE), sample_uniform(20, 3, seed=36))
+        outer_error(outer, PointCloud(CUBE), sample_uniform(20, 3, seed=36))
 
 
 def test_centroid_on_a_boundary_takes_the_lp(monkeypatch):
@@ -359,8 +358,8 @@ def test_centroid_on_a_boundary_takes_the_lp(monkeypatch):
     assert len(calls) == len(probes)
     want = np.array([support_under_constraints(outer, d) for d in probes.directions])
     assert np.array_equal(got, want)
-    res = outer_error(outer, VertexPolytope(CUBE), probes)
-    h_true = probe_support(VertexPolytope(CUBE), probes)
+    res = outer_error(outer, PointCloud(CUBE), probes)
+    h_true = probe_support(PointCloud(CUBE), probes)
     assert res.value == max(0.0, float(np.max(want - h_true)))
 
 
@@ -422,10 +421,10 @@ def test_lp_outer_error_does_not_depend_on_units_or_position(dim):
     cloud, dirs = PointCloud(points), sample_uniform(300, dim, seed=34)
     outer = outer_hull(build_sketch(cloud, dirs), cloud, dirs)
     probes = sample_uniform(40, dim, seed=35)
-    unit = outer_error(outer, VertexPolytope(points), probes).value
+    unit = outer_error(outer, PointCloud(points), probes).value
     assert unit > 0.05
     for scale, shift in [(1e-9, 0.0), (1e9, 0.0), (1.0, 1e3)]:
         moved = np.full(dim, shift)
         copy = make_outer(outer.normals, scale * outer.offsets + outer.normals @ moved)
-        got = outer_error(copy, VertexPolytope(scale * points + moved), probes).value
+        got = outer_error(copy, PointCloud(scale * points + moved), probes).value
         assert got / scale == pytest.approx(unit, rel=1e-9), (scale, shift)

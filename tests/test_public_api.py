@@ -28,7 +28,6 @@ PUBLIC = [
     "ProjectionResult",
     "ShapeSpec",
     "UnboundedOuterHullError",
-    "VertexPolytope",
     "aleksandrov_bound",
     "build_sketch",
     "cap_lower_bound",
