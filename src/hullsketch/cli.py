@@ -23,20 +23,20 @@ from .bounds import (
     direction_count_bound,
     directions_for_inner_error,
 )
-from .compression import NoConstraintsSurvivedError, hyperplane_compress, vertex_compress
+from .compression import HYPERPLANE_VARIANTS, VERTEX_ORDERS, hyperplane_compress, vertex_compress
 from .datagen import SHAPE_KINDS, ShapeSpec, generate
 from .directions import sample_uniform
-from .geometry import ConvergenceError, PointCloud, exact_extreme_points
+from .geometry import NumericalError, PointCloud, exact_extreme_points
 from .io import read_halfspaces, read_matrix, write_halfspaces, write_matrix
 from .metrics import (
-    EmptyOuterHullError,
-    LinearProgramError,
+    EXACT_2D,
+    SUPPORT_GAP,
     UnboundedOuterHullError,
     inner_error,
     outer_error,
     probe_support,
 )
-from .sketch import CurvatureSketch, OuterHull, build_sketch, outer_hull, threshold_filter
+from .sketch import THRESHOLD_MODES, CurvatureSketch, OuterHull, build_sketch, outer_hull, threshold_filter
 
 __all__ = ["build_parser", "bench_rows", "main", "entrypoint"]
 
@@ -45,6 +45,7 @@ FILTER_SEED_OFFSET = 1
 PROBE_SEED_OFFSET = 2
 SUBSAMPLE_SEED_OFFSET = 4
 
+# --oracle-cap is at least 1: a smaller cap would silently skip the oracle.
 DEFAULT_ORACLE_CAP = 2000
 
 
@@ -95,12 +96,6 @@ def _read_inner_csv(path: str, dim: int) -> np.ndarray:
     )
 
 
-def _check_oracle_cap(args) -> None:
-    # A cap below 1 would silently skip the oracle rather than run it.
-    if args.oracle_cap < 1:
-        raise CliValidationError("oracle-cap must be >= 1")
-
-
 def _reference(cloud: PointCloud, seed: int, oracle_cap: int) -> tuple[PointCloud, str]:
     """Reference vertex set for inner error, and its tag: the oracle's
     extreme points of the cloud, or above ``oracle_cap`` points of a seeded
@@ -144,10 +139,6 @@ def cmd_gen(args) -> None:
 
 
 def cmd_sketch(args) -> None:
-    if not 0.0 <= args.alpha <= 1.0:
-        raise CliValidationError("alpha must lie in [0, 1]")
-    if args.dirs < 1:
-        raise CliValidationError("dirs must be >= 1")
     t0 = time.perf_counter()
     cloud = PointCloud(read_matrix(args.points_path))
     dirs = sample_uniform(args.dirs, cloud.dim, args.seed)
@@ -192,7 +183,6 @@ def _sketch_from_json(path: str, cloud: PointCloud) -> CurvatureSketch:
 
 
 def cmd_compress(args) -> None:
-    _check_oracle_cap(args)
     t0 = time.perf_counter()
     cloud = PointCloud(read_matrix(args.points_path))
     if args.sketch_json is not None:
@@ -270,9 +260,6 @@ def cmd_compress(args) -> None:
 
 
 def cmd_error(args) -> None:
-    _check_oracle_cap(args)
-    if args.probes < 0:
-        raise CliValidationError("probes must be >= 0")
     cloud = PointCloud(read_matrix(args.points_path))
     kept = _read_inner_csv(args.inner, cloud.dim)
     normals, offsets = read_halfspaces(args.halfspaces)
@@ -362,14 +349,7 @@ def bench_rows(args) -> list[dict]:
     ones ``error`` reports for the sketch at M: the same reference hull,
     probes and calls.
     """
-    _check_oracle_cap(args)
     schedule = args.schedule
-    if len(schedule) == 0:
-        raise CliValidationError("schedule must be nonempty")
-    if any(m < 1 for m in schedule):
-        raise CliValidationError("schedule entries must be >= 1")
-    if any(b <= a for a, b in zip(schedule, schedule[1:])):
-        raise CliValidationError("schedule must be strictly increasing")
     if args.points_path is not None:
         given = [f for f in ("shape", "transform", "gen_seed") if getattr(args, f) is not None]
         if given:
@@ -398,17 +378,19 @@ def bench_rows(args) -> list[dict]:
         inner_val = math.inf
         if len(inner_m) > 0:
             inner_val = inner_error(reference, PointCloud(inner_m.select(cloud)))
-        outer = outer_error(
-            outer_hull(sketch_m, cloud, prefix_dirs), cloud, probes, h_true=h_true
-        )
+        hull_m = outer_hull(sketch_m, cloud, prefix_dirs)
+        try:  # too few directions leave the outer hull open: an infinite error
+            outer_val = outer_error(hull_m, cloud, probes, h_true=h_true).value
+        except UnboundedOuterHullError:
+            outer_val = math.inf
         rows.append(
             {
                 "n_dirs": m,
                 "n_found": int(np.count_nonzero(sketch_m.counts)),
                 "n_kept": len(inner_m),
                 "inner_error": inner_val,
-                "outer_error": outer.value,
-                "method": outer.method,
+                "outer_error": outer_val,
+                "method": EXACT_2D if cloud.dim == 2 else SUPPORT_GAP,
                 "reference": reference_tag,
             }
         )
@@ -442,11 +424,32 @@ class _Ignored(argparse.Action):
         print(f"note: {option_string} is ignored", file=sys.stderr)
 
 
+def _ranged(convert, name: str, low, high=math.inf):
+    """Flag type: ``convert(text)`` in [low, high]; argparse prefixes the flag to the message."""
+
+    def check(text: str):
+        value = convert(text)
+        if not low <= value <= high:
+            bound = f"be >= {low}" if high == math.inf else f"lie in [{low}, {high}]"
+            raise argparse.ArgumentTypeError(f"{name} must {bound}")
+        return value
+
+    check.__name__ = convert.__name__  # bad text still reads "invalid int value"
+    return check
+
+
 def _parse_schedule(text: str) -> list[int]:
     try:
-        return [int(t) for t in text.split(",") if t.strip()]
+        schedule = [int(t) for t in text.split(",") if t.strip()]
     except ValueError as exc:
-        raise CliValidationError(f"bad schedule {text!r}: {exc}") from None
+        raise argparse.ArgumentTypeError(f"bad schedule {text!r}: {exc}") from None
+    if len(schedule) == 0:
+        raise argparse.ArgumentTypeError("schedule must be nonempty")
+    if any(m < 1 for m in schedule):
+        raise argparse.ArgumentTypeError("schedule entries must be >= 1")
+    if any(b <= a for a, b in zip(schedule, schedule[1:])):
+        raise argparse.ArgumentTypeError("schedule must be strictly increasing")
+    return schedule
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -464,9 +467,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sketch", help="curvature sketch: inner hull + halfspaces")
     p.add_argument("--in", dest="points_path", required=True)
-    p.add_argument("--dirs", type=int, required=True)
-    p.add_argument("--alpha", type=float, default=0.0)
-    p.add_argument("--mode", choices=("hard", "proportional"), default="hard")
+    p.add_argument("--dirs", type=_ranged(int, "dirs", 1), required=True)
+    p.add_argument("--alpha", type=_ranged(float, "alpha", 0, 1), default=0.0)
+    p.add_argument("--mode", choices=THRESHOLD_MODES, default=THRESHOLD_MODES[0])
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-prefix", required=True)
     p.add_argument("--save-sketch", action="store_true")
@@ -476,19 +479,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="points_path", required=True)
     p.add_argument("--out-prefix", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dirs", type=int, default=1000)
-    p.add_argument("--alpha", type=float, default=0.0)
-    p.add_argument("--mode", choices=("hard", "proportional"), default="hard")
+    p.add_argument("--dirs", type=_ranged(int, "dirs", 1), default=1000)
+    p.add_argument("--alpha", type=_ranged(float, "alpha", 0, 1), default=0.0)
+    p.add_argument("--mode", choices=THRESHOLD_MODES, default=THRESHOLD_MODES[0])
     p.add_argument("--beta", type=float, default=0.0)
-    p.add_argument("--order", choices=("decreasing", "paper-increasing"), default="decreasing")
+    p.add_argument("--order", choices=VERTEX_ORDERS, default=VERTEX_ORDERS[0])
     p.add_argument("--sketch-json", default=None)
     p.add_argument("--hyperplanes", action="store_true")
     p.add_argument("--inner-alpha", type=float, default=0.1)
     p.add_argument("--inner-beta", type=float, default=0.0)
     p.add_argument("--merge-angle", type=float, default=math.pi / 36)
-    p.add_argument("--variant", choices=("recursive", "gamma-threshold"), default="recursive")
+    p.add_argument("--variant", choices=HYPERPLANE_VARIANTS, default=HYPERPLANE_VARIANTS[0])
     p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--oracle-cap", type=int, default=DEFAULT_ORACLE_CAP)
+    p.add_argument("--oracle-cap", type=_ranged(int, "oracle-cap", 1), default=DEFAULT_ORACLE_CAP)
     p.set_defaults(run=cmd_compress)
 
     p = sub.add_parser("error", help="inner/outer error report")
@@ -497,8 +500,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--halfspaces", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--probes", type=int, default=200)
-    p.add_argument("--oracle-cap", type=int, default=DEFAULT_ORACLE_CAP)
+    p.add_argument("--probes", type=_ranged(int, "probes", 0), default=200)
+    p.add_argument("--oracle-cap", type=_ranged(int, "oracle-cap", 1), default=DEFAULT_ORACLE_CAP)
     p.add_argument("--sketch-json", default=None)
     p.set_defaults(run=cmd_error)
 
@@ -525,10 +528,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dims", type=int, default=3)
     p.add_argument("--points", type=int, default=10000)
     p.add_argument("--gen-seed", type=int, default=None)
-    p.add_argument("--alpha", type=float, default=0.0)
-    p.add_argument("--mode", choices=("hard", "proportional"), default="hard")
-    p.add_argument("--probes", type=int, default=200)
-    p.add_argument("--oracle-cap", type=int, default=DEFAULT_ORACLE_CAP)
+    p.add_argument("--alpha", type=_ranged(float, "alpha", 0, 1), default=0.0)
+    p.add_argument("--mode", choices=THRESHOLD_MODES, default=THRESHOLD_MODES[0])
+    p.add_argument("--probes", type=_ranged(int, "probes", 0), default=200)
+    p.add_argument("--oracle-cap", type=_ranged(int, "oracle-cap", 1), default=DEFAULT_ORACLE_CAP)
     # retired and ignored; it parses while perfbench's desk3d workload still passes it
     p.add_argument("--ref-dirs", action=_Ignored, default=argparse.SUPPRESS, help=argparse.SUPPRESS)
     p.add_argument("--transform", default=None)
@@ -544,15 +547,8 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:  # ValueError covers CliValidationError, CsvFormatError
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (
-        ConvergenceError,
-        EmptyOuterHullError,
-        LinearProgramError,
-        UnboundedOuterHullError,
-        NoConstraintsSurvivedError,
-        FloatingPointError,
-        OverflowError,  # a distance beyond the largest double
-    ) as exc:
+    # NumericalError is the library's family; OverflowError, a distance beyond the largest double
+    except (NumericalError, FloatingPointError, OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:  # numpy's message names the array it could not allocate

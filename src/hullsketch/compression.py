@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .directions import DirectionSet, sample_uniform
-from .geometry import PointCloud
+from .geometry import NumericalError, PointCloud
 from .sketch import (
     CurvatureSketch,
     InnerHull,
@@ -31,6 +31,7 @@ __all__ = [
     "hyperplane_compress",
 ]
 
+# The first of each is the default.
 VERTEX_ORDERS = ("decreasing", "paper-increasing")
 HYPERPLANE_VARIANTS = ("recursive", "gamma-threshold")
 # Directions sampled for the recursive variant's sketch of each bundle.
@@ -39,7 +40,7 @@ INNER_DIRS = 2048
 _GRAM_ENTRIES = 1 << 18
 
 
-class NoConstraintsSurvivedError(RuntimeError):
+class NoConstraintsSurvivedError(NumericalError):
     """Hyperplane compression produced an empty constraint set."""
 
 
@@ -142,28 +143,27 @@ def _angular_components(dirs: np.ndarray, merge_angle: float) -> list[np.ndarray
     threshold only adds edges), which is the property the caller relies on.
     """
     k = dirs.shape[0]
-    parent = np.arange(k)
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
+    parent = np.arange(k)  # every entry a root, or pointing straight at its root
     cos_thresh = np.cos(merge_angle)
-    # The Gram matrix a block of rows at a time, so memory stays bounded; the
-    # edges (i < j) come in the row-major order of the whole matrix.
+    # The Gram matrix a block of rows at a time, so memory stays bounded.
     rows = max(1, _GRAM_ENTRIES // k)
     for lo in range(0, k, rows):
         ii, jj = np.nonzero(dirs[lo : lo + rows] @ dirs.T > cos_thresh)
         ii += lo
-        upper = jj > ii
-        for i, j in zip(ii[upper], jj[upper]):
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)
-    roots = np.array([find(i) for i in range(k)])
-    return [np.flatnonzero(roots == r) for r in np.unique(roots)]
+        while ii.size:  # until no edge joins two roots; loops (i, i) drop at once
+            ri, rj = parent[ii], parent[jj]
+            joins = ri != rj
+            ii, jj, ri, rj = ii[joins], jj[joins], ri[joins], rj[joins]
+            # Hook each larger root under its smallest neighbouring root, then
+            # compress the chains so every entry points at its root again.
+            np.minimum.at(parent, np.maximum(ri, rj), np.minimum(ri, rj))
+            grand = parent[parent]
+            while not np.array_equal(grand, parent):
+                parent, grand = grand, grand[grand]
+    # A root is its component's smallest index: components in that order.
+    order = np.argsort(parent, kind="stable")
+    starts = np.flatnonzero(np.diff(parent[order])) + 1
+    return np.split(order, starts)
 
 
 def hyperplane_compress(

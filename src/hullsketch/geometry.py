@@ -31,6 +31,7 @@ import numpy as np
 __all__ = [
     "PointCloud",
     "ConvergenceError",
+    "NumericalError",
     "ProjectionResult",
     "project_onto_hull",
     "hausdorff",
@@ -79,7 +80,11 @@ class PointCloud:
         return self.points.shape[0]
 
 
-class ConvergenceError(RuntimeError):
+class NumericalError(RuntimeError):
+    """Base of every numerical failure the library raises."""
+
+
+class ConvergenceError(NumericalError):
     """Raised when the projection solver exhausts its iteration budget.
 
     Carries the best iterate found so far and its optimality gap.

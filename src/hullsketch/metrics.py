@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .directions import DirectionSet
-from .geometry import PointCloud, farthest_distance
+from .geometry import NumericalError, PointCloud, farthest_distance
 from .sketch import OuterHull
 
 __all__ = [
@@ -52,15 +52,15 @@ EXACT_2D = "exact-2d"
 SUPPORT_GAP = "support-gap-estimate"
 
 
-class UnboundedOuterHullError(RuntimeError):
+class UnboundedOuterHullError(NumericalError):
     """The halfspace intersection does not bound a finite polytope."""
 
 
-class EmptyOuterHullError(RuntimeError):
+class EmptyOuterHullError(NumericalError):
     """The halfspaces have no point in common (in 2-d: no interior point)."""
 
 
-class LinearProgramError(RuntimeError):
+class LinearProgramError(NumericalError):
     """HiGHS stopped without an optimum, for instance at an iteration limit,
     and without proving its LP infeasible or unbounded."""
 

@@ -25,6 +25,8 @@ __all__ = [
     "outer_hull",
 ]
 
+# threshold_filter's modes; the first is its default.
+THRESHOLD_MODES = ("hard", "proportional")
 # Points per spatial block and directions per score block of the support
 # kernel: one score block is at most 256 x 2048 doubles (4 MB).  A chunk of
 # directions is sized so that its (block, direction) bounds fit 4 MB too.
@@ -290,7 +292,7 @@ def threshold_filter(
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
-    if mode not in ("hard", "proportional"):
+    if mode not in THRESHOLD_MODES:
         raise ValueError(f"unknown mode {mode!r}")
     curv = sketch.curvatures()
     kept_mask = curv > alpha

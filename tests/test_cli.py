@@ -3,8 +3,17 @@ import json
 import numpy as np
 import pytest
 
-from hullsketch import PointCloud, exact_extreme_points
-from hullsketch.cli import bench_rows, build_parser, main
+from hullsketch import (
+    ConvergenceError,
+    EmptyOuterHullError,
+    NoConstraintsSurvivedError,
+    PointCloud,
+    UnboundedOuterHullError,
+    exact_extreme_points,
+)
+from hullsketch.cli import CliValidationError, bench_rows, build_parser, main
+from hullsketch.geometry import NumericalError
+from hullsketch.metrics import LinearProgramError
 from hullsketch.io import read_matrix, write_matrix
 
 from oracles import monotone_chain_indices
@@ -447,6 +456,86 @@ def test_lp_failure_exits_two_without_traceback(tmp_path, capsys, monkeypatch, d
     ]) == 2
     assert capsys.readouterr().err == f"numerical failure: {what} LP failed: numerical difficulties\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("cls", [
+    ConvergenceError, EmptyOuterHullError, LinearProgramError, NoConstraintsSurvivedError,
+    UnboundedOuterHullError,
+])
+def test_numerical_failures_share_one_family(cls):
+    # main exits 2 on NumericalError, so a failure class outside it would escape as a traceback
+    assert issubclass(cls, NumericalError)
+
+
+def test_convergence_failure_exits_two_without_traceback(tmp_path, capsys, monkeypatch):
+    def stalled(*args, **kwargs):
+        raise ConvergenceError("projection did not converge in 10 iterations (gap=1.000e-03)")
+
+    pts_path = gen_simplex(tmp_path, n=60, seed=85, dims=3)
+    assert run([
+        "sketch", "--in", str(pts_path), "--dirs", "50", "--out-prefix", str(tmp_path / "s"),
+    ]) == 0
+    monkeypatch.setattr("hullsketch.geometry.project_onto_hull", stalled)
+    out = tmp_path / "r.json"
+    assert run([
+        "error", "--in", str(pts_path), "--inner", str(tmp_path / "s_inner.csv"),
+        "--halfspaces", str(tmp_path / "s_halfspaces.csv"), "--probes", "0", "--out", str(out),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert err == "numerical failure: projection did not converge in 10 iterations (gap=1.000e-03)\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sketch", "--dirs", "0", "--out-prefix", "x"], "argument --dirs: dirs must be >= 1"),
+    (["sketch", "--dirs", "x", "--out-prefix", "x"], "argument --dirs: invalid int value: 'x'"),
+    (["compress", "--dirs", "0", "--out-prefix", "x"], "argument --dirs: dirs must be >= 1"),
+    (["compress", "--alpha", "2", "--out-prefix", "x"], "argument --alpha: alpha must lie in [0, 1]"),
+    (["compress", "--oracle-cap", "0", "--out-prefix", "x"],
+     "argument --oracle-cap: oracle-cap must be >= 1"),
+    (["error", "--inner", "i.csv", "--halfspaces", "h.csv", "--probes", "-5", "--out", "r.json"],
+     "argument --probes: probes must be >= 0"),
+    (["bench", "--alpha", "2", "--schedule", "10", "--out", "b.csv"],
+     "argument --alpha: alpha must lie in [0, 1]"),
+    (["bench", "--probes", "-1", "--schedule", "10", "--out", "b.csv"],
+     "argument --probes: probes must be >= 0"),
+    (["bench", "--schedule", "", "--out", "b.csv"], "argument --schedule: schedule must be nonempty"),
+    (["bench", "--schedule", "0,5", "--out", "b.csv"],
+     "argument --schedule: schedule entries must be >= 1"),
+    (["bench", "--schedule", "5,x", "--out", "b.csv"],
+     "argument --schedule: bad schedule '5,x': invalid literal for int() with base 10: 'x'"),
+], ids=["sketch-dirs", "sketch-dirs-text", "compress-dirs", "compress-alpha", "compress-oracle-cap",
+        "error-probes", "bench-alpha", "bench-probes", "bench-schedule-empty", "bench-schedule-entry",
+        "bench-schedule-text"])
+def test_flag_ranges_are_checked_before_any_file_is_read(tmp_path, capsys, argv, message):
+    # --in names no file, so a range error that is reported was caught by the parser
+    assert run([argv[0], "--in", str(tmp_path / "missing.csv"), *argv[1:]]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_bench_rejects_negative_probes_in_the_plane(tmp_path, capsys):
+    # a 2-d outer error is exact and draws no probes, yet a negative count is still refused
+    pts_path = gen_simplex(tmp_path, n=60, seed=86)
+    out = tmp_path / "b.csv"
+    assert run(["bench", "--in", str(pts_path), "--schedule", "10", "--probes", "-1",
+                "--out", str(out)]) == 1
+    assert "probes must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(CliValidationError, match="probes must be >= 0"):
+        bench_args("--in", str(pts_path), "--schedule", "10", "--probes", "-1")
+
+
+def test_bench_keeps_its_curve_past_an_unbounded_row(tmp_path):
+    # six directions leave this cube's outer hull open: that row's outer error is
+    # infinite, as the inner column is for a row that kept nothing, and the run goes on
+    common = ["--shape", "cube", "--dims", "3", "--points", "2000", "--probes", "20", "--seed", "2"]
+    curve, alone = tmp_path / "curve.csv", tmp_path / "alone.csv"
+    assert run(["bench", "--schedule", "6,50", *common, "--out", str(curve)]) == 0
+    assert run(["bench", "--schedule", "50", *common, "--out", str(alone)]) == 0
+    rows = curve.read_text().splitlines()[1:]
+    assert rows[0].split(",")[4:] == ["inf", "support-gap-estimate"]
+    assert rows[1] == alone.read_text().splitlines()[1]
 
 
 @pytest.mark.parametrize("argv", [
