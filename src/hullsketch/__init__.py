@@ -37,7 +37,6 @@ from .geometry import (
 )
 from .metrics import (
     EmptyOuterHullError,
-    OuterErrorResult,
     UnboundedOuterHullError,
     inner_error,
     outer_error,
@@ -61,7 +60,6 @@ __all__ = [
     "EmptyOuterHullError",
     "InnerHull",
     "NoConstraintsSurvivedError",
-    "OuterErrorResult",
     "OuterHull",
     "PointCloud",
     "ProjectionResult",

@@ -28,14 +28,7 @@ from .datagen import SHAPE_KINDS, ShapeSpec, generate
 from .directions import sample_uniform
 from .geometry import NumericalError, PointCloud, exact_extreme_points
 from .io import read_halfspaces, read_matrix, write_halfspaces, write_matrix
-from .metrics import (
-    EXACT_2D,
-    SUPPORT_GAP,
-    UnboundedOuterHullError,
-    inner_error,
-    outer_error,
-    probe_support,
-)
+from .metrics import UnboundedOuterHullError, inner_error, outer_error, probe_support
 from .sketch import THRESHOLD_MODES, CurvatureSketch, OuterHull, build_sketch, outer_hull, threshold_filter
 
 __all__ = ["build_parser", "bench_rows", "main", "entrypoint"]
@@ -110,6 +103,11 @@ def _reference(cloud: PointCloud, seed: int, oracle_cap: int) -> tuple[PointClou
 def _probes(args, dim: int):
     """The outer error's probe directions; None in the plane, where it is exact."""
     return None if dim == 2 else sample_uniform(args.probes, dim, args.seed + PROBE_SEED_OFFSET)
+
+
+def _outer_method(dim: int) -> str:
+    """The outer error's label in reports: exact in the plane, estimated from probes above."""
+    return "exact-2d" if dim == 2 else "support-gap-estimate"
 
 
 # ---------------------------------------------------------------------------
@@ -270,10 +268,10 @@ def cmd_error(args) -> None:
     reference, reference_tag = _reference(cloud, args.seed, args.oracle_cap)
     inner_val = inner_error(reference, PointCloud(kept))
 
-    outer_val, outer_method, n_probes = None, None, 0
+    outer_val, outer_method = None, None
     if args.probes > 0 or cloud.dim == 2:
-        result = outer_error(outer, cloud, _probes(args, cloud.dim))
-        outer_val, outer_method, n_probes = result.value, result.method, result.n_probes
+        outer_val = outer_error(outer, cloud, _probes(args, cloud.dim))
+        outer_method = _outer_method(cloud.dim)
 
     n_found = -1
     if args.sketch_json is not None:
@@ -283,7 +281,7 @@ def cmd_error(args) -> None:
         "inner_error": inner_val,
         "outer_error": outer_val,
         "outer_method": outer_method,
-        "n_probes": n_probes,
+        "n_probes": 0 if cloud.dim == 2 else args.probes,
         "n_dirs_used": len(offsets),
         "n_found": n_found,
         "n_kept": kept.shape[0],
@@ -380,7 +378,7 @@ def bench_rows(args) -> list[dict]:
             inner_val = inner_error(reference, PointCloud(inner_m.select(cloud)))
         hull_m = outer_hull(sketch_m, cloud, prefix_dirs)
         try:  # too few directions leave the outer hull open: an infinite error
-            outer_val = outer_error(hull_m, cloud, probes, h_true=h_true).value
+            outer_val = outer_error(hull_m, cloud, probes, h_true=h_true)
         except UnboundedOuterHullError:
             outer_val = math.inf
         rows.append(
@@ -390,7 +388,7 @@ def bench_rows(args) -> list[dict]:
                 "n_kept": len(inner_m),
                 "inner_error": inner_val,
                 "outer_error": outer_val,
-                "method": EXACT_2D if cloud.dim == 2 else SUPPORT_GAP,
+                "method": _outer_method(cloud.dim),
                 "reference": reference_tag,
             }
         )
@@ -479,12 +477,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="points_path", required=True)
     p.add_argument("--out-prefix", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dirs", type=_ranged(int, "dirs", 1), default=1000)
+    source = p.add_mutually_exclusive_group()  # a saved sketch brings its own directions
+    source.add_argument("--dirs", type=_ranged(int, "dirs", 1), default=1000)
+    source.add_argument("--sketch-json", default=None)
     p.add_argument("--alpha", type=_ranged(float, "alpha", 0, 1), default=0.0)
     p.add_argument("--mode", choices=THRESHOLD_MODES, default=THRESHOLD_MODES[0])
     p.add_argument("--beta", type=float, default=0.0)
     p.add_argument("--order", choices=VERTEX_ORDERS, default=VERTEX_ORDERS[0])
-    p.add_argument("--sketch-json", default=None)
     p.add_argument("--hyperplanes", action="store_true")
     p.add_argument("--inner-alpha", type=float, default=0.1)
     p.add_argument("--inner-beta", type=float, default=0.0)

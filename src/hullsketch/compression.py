@@ -206,6 +206,8 @@ def hyperplane_compress(
         raise ValueError("merge_angle must lie in (0, pi)")
     if variant not in HYPERPLANE_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
+    if not 0.0 <= inner_alpha <= 1.0:
+        raise ValueError("inner_alpha must lie in [0, 1]")
     if not 0.0 <= inner_beta < np.inf:
         raise ValueError("inner_beta must be finite and nonnegative")
     cloud, dirs = sketch.cloud, sketch.dirs

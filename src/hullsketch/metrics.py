@@ -28,7 +28,6 @@ any new scipy import function-local for the same reason.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,18 +38,12 @@ from .sketch import OuterHull
 __all__ = [
     "EmptyOuterHullError",
     "LinearProgramError",
-    "OuterErrorResult",
     "UnboundedOuterHullError",
     "inner_error",
     "outer_error",
-    "outer_support",
     "probe_support",
     "support_under_constraints",
 ]
-
-EXACT_2D = "exact-2d"
-SUPPORT_GAP = "support-gap-estimate"
-
 
 class UnboundedOuterHullError(NumericalError):
     """The halfspace intersection does not bound a finite polytope."""
@@ -63,13 +56,6 @@ class EmptyOuterHullError(NumericalError):
 class LinearProgramError(NumericalError):
     """HiGHS stopped without an optimum, for instance at an iteration limit,
     and without proving its LP infeasible or unbounded."""
-
-
-@dataclass(frozen=True)
-class OuterErrorResult:
-    value: float
-    method: str
-    n_probes: int
 
 
 def inner_error(true_extremes: PointCloud, inner: PointCloud) -> float:
@@ -194,7 +180,7 @@ def probe_support(hull: PointCloud, probes: DirectionSet) -> np.ndarray:
     return np.array([float(np.max(hull.points @ d)) for d in probes.directions])
 
 
-def outer_support(outer: OuterHull, probes: DirectionSet, interior: np.ndarray) -> np.ndarray:
+def _outer_support(outer: OuterHull, probes: DirectionSet, interior: np.ndarray) -> np.ndarray:
     """``h_outer(d)`` of a halfspace intersection along every probe.
 
     Up to 3-d this is the max over the intersection's vertices, from one
@@ -216,14 +202,14 @@ def outer_error(
     true_extremes: PointCloud,
     probes: DirectionSet | None = None,
     h_true: np.ndarray | None = None,
-) -> OuterErrorResult:
+) -> float:
     """Distance from the outer (halfspace) hull to the reference hull.
 
     Exact in dimension 2: the largest distance from a vertex of the outer
     hull to the reference, with ``probes`` unused.  Otherwise the support-gap
     estimate ``max_d h_outer(d) - h_true(d)`` over the probe set; since the
     bodies are nested it converges to the Hausdorff distance as probes
-    densify.  ``h_outer`` comes from :func:`outer_support` about the
+    densify.  ``h_outer`` comes from :func:`_outer_support` about the
     reference centroid.  ``h_true`` may pass
     ``probe_support(true_extremes, probes)`` computed once for many outer
     hulls.  An unbounded intersection raises
@@ -239,14 +225,12 @@ def outer_error(
             verts = _outer_vertices(outer, _chebyshev_centre(outer, centroid))
         if verts is None:
             raise EmptyOuterHullError("outer hull has no interior")
-        value = farthest_distance(verts, true_extremes, true_extremes.points)  # as inner_error
-        return OuterErrorResult(value, EXACT_2D, 0)
+        return farthest_distance(verts, true_extremes, true_extremes.points)  # as inner_error
     if probes is None:
         raise ValueError("probe directions are required for the support-gap estimate")
     if probes.dim != outer.dim:
         raise ValueError("probe dimension mismatch")
     if h_true is None:
         h_true = probe_support(true_extremes, probes)
-    h_out = outer_support(outer, probes, true_extremes.points.mean(axis=0))
-    gap = float(np.max(h_out - h_true, initial=0.0))
-    return OuterErrorResult(value=gap, method=SUPPORT_GAP, n_probes=len(probes))
+    h_out = _outer_support(outer, probes, true_extremes.points.mean(axis=0))
+    return float(np.max(h_out - h_true, initial=0.0))

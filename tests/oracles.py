@@ -225,9 +225,9 @@ def support_gap(outer, ref, probes) -> float:
     their own, so that 2-d outer hulls, whose ``outer_error`` is exact, can
     still be compared with the estimate.
     """
-    from hullsketch.metrics import outer_support, probe_support
+    from hullsketch.metrics import _outer_support, probe_support
 
-    h_out = outer_support(outer, probes, ref.points.mean(axis=0))
+    h_out = _outer_support(outer, probes, ref.points.mean(axis=0))
     return float(np.max(h_out - probe_support(ref, probes), initial=0.0))
 
 

@@ -490,6 +490,11 @@ def test_convergence_failure_exits_two_without_traceback(tmp_path, capsys, monke
     (["sketch", "--dirs", "0", "--out-prefix", "x"], "argument --dirs: dirs must be >= 1"),
     (["sketch", "--dirs", "x", "--out-prefix", "x"], "argument --dirs: invalid int value: 'x'"),
     (["compress", "--dirs", "0", "--out-prefix", "x"], "argument --dirs: dirs must be >= 1"),
+    # a saved sketch brings its own directions, so --dirs with it is refused, after its range
+    (["compress", "--sketch-json", "s.json", "--dirs", "5", "--out-prefix", "x"],
+     "argument --dirs: not allowed with argument --sketch-json"),
+    (["compress", "--sketch-json", "s.json", "--dirs", "0", "--out-prefix", "x"],
+     "argument --dirs: dirs must be >= 1"),
     (["compress", "--alpha", "2", "--out-prefix", "x"], "argument --alpha: alpha must lie in [0, 1]"),
     (["compress", "--oracle-cap", "0", "--out-prefix", "x"],
      "argument --oracle-cap: oracle-cap must be >= 1"),
@@ -504,7 +509,8 @@ def test_convergence_failure_exits_two_without_traceback(tmp_path, capsys, monke
      "argument --schedule: schedule entries must be >= 1"),
     (["bench", "--schedule", "5,x", "--out", "b.csv"],
      "argument --schedule: bad schedule '5,x': invalid literal for int() with base 10: 'x'"),
-], ids=["sketch-dirs", "sketch-dirs-text", "compress-dirs", "compress-alpha", "compress-oracle-cap",
+], ids=["sketch-dirs", "sketch-dirs-text", "compress-dirs", "compress-dirs-with-sketch",
+        "compress-dirs-range-first", "compress-alpha", "compress-oracle-cap",
         "error-probes", "bench-alpha", "bench-probes", "bench-schedule-empty", "bench-schedule-entry",
         "bench-schedule-text"])
 def test_flag_ranges_are_checked_before_any_file_is_read(tmp_path, capsys, argv, message):
@@ -584,6 +590,8 @@ def test_compress_rejects_beta_not_finite_and_nonnegative(tmp_path, capsys, beta
     (["--variant", "gamma-threshold", "--gamma", "0"], "finite positive gamma"),
     (["--inner-beta", "-1"], "inner_beta must be finite and nonnegative"),
     (["--inner-beta", "nan"], "inner_beta must be finite and nonnegative"),
+    (["--inner-alpha", "-1"], "inner_alpha must lie in [0, 1]"),
+    (["--inner-alpha", "nan"], "inner_alpha must lie in [0, 1]"),
 ])
 def test_compress_rejects_out_of_range_hyperplane_flags(tmp_path, capsys, flags, message):
     pts_path = gen_simplex(tmp_path)
@@ -683,6 +691,8 @@ def test_bench_outer_error_equals_error_command(tmp_path, shape, dims, seed, cap
     report = json.loads(out.read_text())
     assert report["reference"] == ("oracle" if cap == "5000" else "oracle-subsample")
     assert rows[0]["method"] == report["outer_method"]
+    assert report["outer_method"] == ("exact-2d" if dims == 2 else "support-gap-estimate")
+    assert report["n_probes"] == (0 if dims == 2 else 30)  # the plane needs no probes
     assert rows[0]["reference"] == report["reference"]
     assert rows[0]["inner_error"] == report["inner_error"]
     assert rows[0]["outer_error"] == report["outer_error"]

@@ -18,13 +18,7 @@ from hullsketch import (
 )
 from hullsketch import metrics
 from hullsketch.datagen import ShapeSpec, generate
-from hullsketch.metrics import (
-    EXACT_2D,
-    SUPPORT_GAP,
-    outer_support,
-    probe_support,
-    support_under_constraints,
-)
+from hullsketch.metrics import _outer_support, probe_support, support_under_constraints
 
 from oracles import grid_min_distance, halfplane_vertices, polygon_distance, support_gap
 
@@ -81,14 +75,11 @@ def test_inner_error_dim_mismatch():
 
 
 def test_outer_error_zero_when_exact():
-    res = outer_error(axis_square_outer(), PointCloud(SQUARE))
-    assert res.method == EXACT_2D
-    assert res.value <= 1e-9
+    assert outer_error(axis_square_outer(), PointCloud(SQUARE)) <= 1e-9
 
 
 def test_outer_error_rotated_square_exact():
-    res = outer_error(rotated_square_outer(), PointCloud(SQUARE))
-    assert res.value == pytest.approx(1.0, abs=1e-9)
+    assert outer_error(rotated_square_outer(), PointCloud(SQUARE)) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_support_gap_close_to_exact_2d():
@@ -96,15 +87,13 @@ def test_support_gap_close_to_exact_2d():
     probes = sample_uniform(10_000, 2, seed=5)
     est = support_gap(outer, PointCloud(SQUARE), probes)
     exact = outer_error(outer, PointCloud(SQUARE))
-    assert est >= 0.99 * exact.value
-    assert est <= exact.value + 1e-9
+    assert est >= 0.99 * exact
+    assert est <= exact + 1e-9
 
 
 def test_outer_error_is_exact_in_2d_with_probes_too():
     outer = rotated_square_outer()
     with_probes = outer_error(outer, PointCloud(SQUARE), sample_uniform(50, 2, seed=5))
-    assert with_probes.method == EXACT_2D
-    assert with_probes.n_probes == 0
     assert with_probes == outer_error(outer, PointCloud(SQUARE))
 
 
@@ -121,8 +110,7 @@ def test_triangle_face_normals_give_exact_outer_hull():
     faces = DirectionSet(np.array([[0.0, -1.0], [-1.0, 0.0], [s, s]]), seed=0)
     sk = build_sketch(tri, faces)
     hull = outer_hull(sk, tri, faces)
-    res = outer_error(hull, PointCloud(tri.points))
-    assert res.value <= 1e-9
+    assert outer_error(hull, PointCloud(tri.points)) <= 1e-9
     # support-gap sweep agrees: no probe sees the outer hull reach beyond
     probes = sample_uniform(2000, 2, seed=3)
     assert support_gap(hull, PointCloud(tri.points), probes) <= 1e-9
@@ -134,7 +122,7 @@ def test_support_gap_agrees_with_exact_on_random_instance():
     dirs = sample_uniform(50, 2, seed=13)
     sk = build_sketch(cloud, dirs)
     hull = outer_hull(sk, cloud, dirs)
-    exact = outer_error(hull, PointCloud(cloud.points)).value
+    exact = outer_error(hull, PointCloud(cloud.points))
     est = support_gap(hull, PointCloud(cloud.points), sample_uniform(10_000, 2, seed=14))
     assert est <= exact + 1e-9
     assert est >= 0.99 * exact
@@ -146,11 +134,9 @@ def test_support_gap_3d_cube_vs_octahedron():
     octa = PointCloud(np.vstack([np.eye(3), -np.eye(3)]))
     probes = sample_uniform(4000, 3, seed=6)
     est = outer_error(outer, octa, probes)
-    assert est.method == SUPPORT_GAP
-    assert est.n_probes == 4000
     exact = 2.0 / math.sqrt(3)  # cube corner to the octahedron facet
-    assert est.value <= exact + 1e-9
-    assert est.value >= 0.97 * exact
+    assert est <= exact + 1e-9
+    assert est >= 0.97 * exact
 
 
 def test_support_gap_monotone_in_probes():
@@ -218,9 +204,9 @@ def test_exact_2d_outer_error_matches_halfplane_oracle(monkeypatch, kind, m):
     outer = outer_hull(build_sketch(cloud, dirs), cloud, dirs)
     verts = halfplane_vertices(outer.normals, outer.offsets)
     want = max(polygon_distance(v, points) for v in verts)
-    assert outer_error(outer, PointCloud(points)).value == pytest.approx(want, rel=1e-9)
+    assert outer_error(outer, PointCloud(points)) == pytest.approx(want, rel=1e-9)
     probes = sample_uniform(50, 2, seed=43)
-    got = outer_support(outer, probes, points.mean(axis=0))
+    got = _outer_support(outer, probes, points.mean(axis=0))
     extent = np.abs(points).max()
     assert np.max(np.abs(got - (verts @ probes.directions.T).max(axis=0))) <= 1e-12 * extent
 
@@ -239,9 +225,9 @@ def test_2d_retries_at_the_chebyshev_centre(monkeypatch):
     )
     res = outer_error(outer, PointCloud(triangle))
     assert calls == [1]
-    assert res.value == pytest.approx(1 / (2 * math.sqrt(2)), rel=1e-12)
+    assert res == pytest.approx(1 / (2 * math.sqrt(2)), rel=1e-12)
     want = max(polygon_distance(v, triangle) for v in halfplane_vertices(outer.normals, outer.offsets))
-    assert res.value == pytest.approx(want, rel=1e-12)
+    assert res == pytest.approx(want, rel=1e-12)
 
 
 def test_support_under_constraints_matches_vertex_max():
@@ -262,7 +248,7 @@ def test_errors_non_increasing_over_nested_directions():
         sub = build_sketch(cloud, prefix)
         inner = threshold_filter(sub, 0.0)
         inner_vals.append(inner_error(reference, PointCloud(inner.select(cloud))))
-        outer_vals.append(outer_error(outer_hull(sub, cloud, prefix), reference).value)
+        outer_vals.append(outer_error(outer_hull(sub, cloud, prefix), reference))
     assert all(b <= a + 1e-9 for a, b in zip(inner_vals, inner_vals[1:]))
     assert all(b <= a + 1e-9 for a, b in zip(outer_vals, outer_vals[1:]))
 
@@ -307,7 +293,7 @@ def test_vertex_support_matches_lp(monkeypatch, name):
     outer = outer_hull(build_sketch(cloud, dirs), cloud, dirs)
     probes = sample_uniform(60, 3, seed=35)
     calls = count_lp_calls(monkeypatch)
-    got = outer_support(outer, probes, points.mean(axis=0))
+    got = _outer_support(outer, probes, points.mean(axis=0))
     assert calls == []  # the vertex path, not one LP per probe
     # HiGHS's absolute tolerances (1e-7) exceed a cloud at 1e-9 scale, so the
     # reference LP runs in units of a power of two near the cloud's extent;
@@ -354,13 +340,13 @@ def test_centroid_on_a_boundary_takes_the_lp(monkeypatch):
     outer = make_outer(normals, [1.0, 1, 1, 1, 1, 1, 0])
     probes = sample_uniform(30, 3, seed=37)
     calls = count_lp_calls(monkeypatch)
-    got = outer_support(outer, probes, CUBE.mean(axis=0))
+    got = _outer_support(outer, probes, CUBE.mean(axis=0))
     assert len(calls) == len(probes)
     want = np.array([support_under_constraints(outer, d) for d in probes.directions])
     assert np.array_equal(got, want)
     res = outer_error(outer, PointCloud(CUBE), probes)
     h_true = probe_support(PointCloud(CUBE), probes)
-    assert res.value == max(0.0, float(np.max(want - h_true)))
+    assert res == max(0.0, float(np.max(want - h_true)))
 
 
 def with_axes(dirs):
@@ -380,7 +366,7 @@ def test_vertex_support_on_a_thin_outer_hull(monkeypatch, power):
     outer = outer_hull(build_sketch(cloud, dirs), cloud, dirs)
     probes = sample_uniform(60, 3, seed=35)
     calls = count_lp_calls(monkeypatch)
-    got = outer_support(outer, probes, points.mean(axis=0))
+    got = _outer_support(outer, probes, points.mean(axis=0))
     assert calls == []
     from scipy.spatial import HalfspaceIntersection
 
@@ -404,7 +390,7 @@ def test_interior_point_near_a_face(monkeypatch, depth):
     interior = centroid + (outer.offsets[i] - outer.normals[i] @ centroid - depth) * outer.normals[i]
     probes = sample_uniform(60, 3, seed=35)
     calls = count_lp_calls(monkeypatch)
-    got = outer_support(outer, probes, interior)
+    got = _outer_support(outer, probes, interior)
     assert len(calls) == (len(probes) if depth < 1e-8 else 0)
     want = np.array([support_under_constraints(outer, d) for d in probes.directions])
     assert np.max(np.abs(got - want)) <= 1e-9 * np.abs(points).max()
@@ -421,10 +407,42 @@ def test_lp_outer_error_does_not_depend_on_units_or_position(dim):
     cloud, dirs = PointCloud(points), sample_uniform(300, dim, seed=34)
     outer = outer_hull(build_sketch(cloud, dirs), cloud, dirs)
     probes = sample_uniform(40, dim, seed=35)
-    unit = outer_error(outer, PointCloud(points), probes).value
+    unit = outer_error(outer, PointCloud(points), probes)
     assert unit > 0.05
     for scale, shift in [(1e-9, 0.0), (1e9, 0.0), (1.0, 1e3)]:
         moved = np.full(dim, shift)
         copy = make_outer(outer.normals, scale * outer.offsets + outer.normals @ moved)
-        got = outer_error(copy, PointCloud(scale * points + moved), probes).value
+        got = outer_error(copy, PointCloud(scale * points + moved), probes)
         assert got / scale == pytest.approx(unit, rel=1e-9), (scale, shift)
+
+
+# --- the value's type on every path ----------------------------------------
+
+CROSS_3D, CROSS_4D = np.vstack([np.eye(3), -np.eye(3)]), np.vstack([np.eye(4), -np.eye(4)])
+# outer hull, reference points, probes, Chebyshev retries, support LPs
+OUTER_ERROR_PATHS = {
+    "2-d exact": (axis_square_outer(), SQUARE, None, 0, 0),
+    "2-d Chebyshev retry": (
+        make_outer([[1.0, 0], [-1, 0], [0, 1], [0, -1]], [-0.5, 1, 1, 1]),
+        np.array([[-1.0, -1], [1, -1], [-1, 1]]), None, 1, 0,
+    ),
+    "3-d vertices": (make_outer(CROSS_3D, np.ones(6)), CROSS_3D, sample_uniform(20, 3, seed=6), 0, 0),
+    "3-d LP, centroid on a face": (
+        make_outer(np.vstack([CROSS_3D, [[1.0, 0, 0]]]), [1.0, 1, 1, 1, 1, 1, 0]),
+        CUBE, sample_uniform(20, 3, seed=37), 0, 20,
+    ),
+    "4-d LPs": (make_outer(CROSS_4D, np.ones(8)), CROSS_4D, sample_uniform(20, 4, seed=38), 0, 20),
+}
+
+
+@pytest.mark.parametrize("path", list(OUTER_ERROR_PATHS))
+def test_outer_error_returns_a_float_on_every_path(monkeypatch, path):
+    outer, points, probes, retries, lps = OUTER_ERROR_PATHS[path]
+    lp_calls, centres = count_lp_calls(monkeypatch), []
+    chebyshev = metrics._chebyshev_centre
+    monkeypatch.setattr(
+        metrics, "_chebyshev_centre", lambda *a: centres.append(1) or chebyshev(*a)
+    )
+    value = outer_error(outer, PointCloud(points), probes)
+    assert type(value) is float
+    assert (len(centres), len(lp_calls)) == (retries, lps)

@@ -22,7 +22,6 @@ PUBLIC = [
     "EmptyOuterHullError",
     "InnerHull",
     "NoConstraintsSurvivedError",
-    "OuterErrorResult",
     "OuterHull",
     "PointCloud",
     "ProjectionResult",
