@@ -180,8 +180,25 @@ def _sketch_from_json(path: str, cloud: PointCloud) -> CurvatureSketch:
         raise CliValidationError(f"{path}: {exc}") from None
 
 
+# The hyperplane flags each variant reads.  They parse to None, so that a
+# flag the run would not read can be refused, and only the given ones reach
+# hyperplane_compress, which holds their defaults.
+_VARIANT_FLAGS = {
+    "recursive": ("variant", "inner_alpha", "inner_beta", "merge_angle"),
+    "gamma-threshold": ("variant", "gamma", "merge_angle"),
+}
+
+
 def cmd_compress(args) -> None:
     t0 = time.perf_counter()
+    names = ("variant", "inner_alpha", "inner_beta", "merge_angle", "gamma")
+    given = {f: getattr(args, f) for f in names if getattr(args, f) is not None}
+    variant = given.get("variant", HYPERPLANE_VARIANTS[0])
+    unread = [f for f in given if not args.hyperplanes or f not in _VARIANT_FLAGS[variant]]
+    if unread:
+        flags = ", ".join("--" + f.replace("_", "-") for f in unread)
+        where = f"--variant {variant}" if args.hyperplanes else "without --hyperplanes"
+        raise CliValidationError(f"compress {where} does not read {flags}")
     cloud = PointCloud(read_matrix(args.points_path))
     if args.sketch_json is not None:
         sketch = _sketch_from_json(args.sketch_json, cloud)
@@ -192,16 +209,7 @@ def cmd_compress(args) -> None:
     compressed, clusters = vertex_compress(inner, cloud, args.beta, args.order)
     hull = None
     if args.hyperplanes:
-        hull = hyperplane_compress(
-            sketch,
-            clusters,
-            inner_alpha=args.inner_alpha,
-            inner_beta=args.inner_beta,
-            merge_angle=args.merge_angle,
-            variant=args.variant,
-            gamma=args.gamma,
-            seed=args.seed,
-        )
+        hull = hyperplane_compress(sketch, clusters, seed=args.seed, **given)
     n_planes_out = None if hull is None else len(hull)
     ratios_payload: dict = {
         "found_vertices": len(compressed),
@@ -485,10 +493,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, default=0.0)
     p.add_argument("--order", choices=VERTEX_ORDERS, default=VERTEX_ORDERS[0])
     p.add_argument("--hyperplanes", action="store_true")
-    p.add_argument("--inner-alpha", type=float, default=0.1)
-    p.add_argument("--inner-beta", type=float, default=0.0)
-    p.add_argument("--merge-angle", type=float, default=math.pi / 36)
-    p.add_argument("--variant", choices=HYPERPLANE_VARIANTS, default=HYPERPLANE_VARIANTS[0])
+    p.add_argument("--inner-alpha", type=float, default=None)
+    p.add_argument("--inner-beta", type=float, default=None)
+    p.add_argument("--merge-angle", type=float, default=None)
+    p.add_argument("--variant", choices=HYPERPLANE_VARIANTS, default=None)
     p.add_argument("--gamma", type=float, default=None)
     p.add_argument("--oracle-cap", type=_ranged(int, "oracle-cap", 1), default=DEFAULT_ORACLE_CAP)
     p.set_defaults(run=cmd_compress)

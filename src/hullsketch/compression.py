@@ -173,7 +173,7 @@ def hyperplane_compress(
     inner_alpha: float = 0.1,
     inner_beta: float = 0.0,
     merge_angle: float = np.pi / 36,
-    variant: str = "recursive",
+    variant: str = HYPERPLANE_VARIANTS[0],
     gamma: float | None = None,
     seed: int = 0,
 ) -> OuterHull:

@@ -8,13 +8,14 @@ direction.
 """
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .directions import GAUSSIAN_UNIFORM, DirectionSet, sample_uniform
-from .geometry import PointCloud, unit_frame
+from .geometry import PointCloud, UnitFrame, unit_frame
 
 __all__ = [
     "CurvatureSketch",
@@ -28,11 +29,14 @@ __all__ = [
 # threshold_filter's modes; the first is its default.
 THRESHOLD_MODES = ("hard", "proportional")
 # Points per spatial block and directions per score block of the support
-# kernel: one score block is at most 256 x 2048 doubles (4 MB).  A chunk of
-# directions is sized so that its (block, direction) bounds fit 4 MB too.
+# kernel: one score block is at most 256 x 2048 floats (2 MB) when screening
+# and as many doubles (4 MB) when rescoring.  A chunk of directions is sized
+# so that its (block, direction) bounds fit 4 MB too.  The float32 copy of
+# the cloud is built from doubles gathered 16 blocks at a time.
 _BLOCK_POINTS = 2048
 _CHUNK_DIRS = 256
 _BOUND_ENTRIES = 1 << 19
+_GATHER_BLOCKS = 16
 
 
 @dataclass(frozen=True)
@@ -174,16 +178,16 @@ class OuterHull:
         return self.normals.shape[0]
 
 
-def _morton_order(pts: np.ndarray) -> np.ndarray:
+def _morton_order(pts: np.ndarray, frame: UnitFrame) -> np.ndarray:
     """Point order along a Z-order curve of the quantised coordinates.
 
     The uint16 key interleaves ``16 // dim`` bits of every axis, or one bit of
     each of the 16 widest axes in higher dimensions.  A stable argsort of
-    16-bit keys is a radix sort.  Axes are quantised in the halved
-    :func:`~hullsketch.geometry.unit_frame`, finite for any extent.
+    16-bit keys is a radix sort.  Axes are quantised in ``frame``, the
+    halved :func:`~hullsketch.geometry.unit_frame` of ``pts``, finite for any
+    extent.
     """
     bits = max(1, 16 // pts.shape[1])
-    frame = unit_frame(pts)
     axes = np.argsort(-frame.extent, kind="stable")[: 16 // bits]
     top, width, value = (1 << bits) - 1, len(axes), np.arange(1 << bits, dtype=np.uint16)
     key = np.zeros(pts.shape[0], dtype=np.uint16)
@@ -198,77 +202,151 @@ def _morton_order(pts: np.ndarray) -> np.ndarray:
     return np.argsort(key, kind="stable")
 
 
-def _support_winners(pts: np.ndarray, dmat: np.ndarray) -> tuple[np.ndarray, int]:
-    """Exact ``argmax(pts @ dmat.T, axis=0)``, ties to the smallest index, and
-    the number of score entries formed.
+def _frame_rows(pts: np.ndarray, order: np.ndarray, frame: UnitFrame) -> np.ndarray:
+    """``(pts[order] - frame.centre) * 2**-frame.exponent`` as float32, from
+    doubles gathered ``_GATHER_BLOCKS`` blocks at a time.
 
-    Z-ordered blocks of points (index order inside each) keep their bounding
-    box, whose support ``sum_i max(d_i lo_i, d_i hi_i)`` bounds every score in
-    the block.  Directions come in chunks sized so that the (block, direction)
-    bound matrix fits ``_BOUND_ENTRIES``.  Each direction of a chunk first
-    scores its highest-bound block; blocks are then visited in decreasing
-    bound order, skipping a (direction, block) pair whose bound is below the
-    best score by more than the margin.  Scores go through one reused buffer,
-    at most ``_CHUNK_DIRS`` directions at a time.
+    Every coordinate lies in [-1/2, 1/2], and ``p - centre`` is at most the
+    largest ``|p_i|``, so nothing overflows.
+    """
+    n, group = pts.shape[0], _GATHER_BLOCKS * _BLOCK_POINTS
+    out = np.empty(pts.shape, dtype=np.float32)
+    centre = np.tile(frame.centre, min(n, group))  # flat: broadcasting over short rows is slow
+    for g0 in range(0, n, group):
+        rows = np.take(pts, order[g0 : g0 + group], axis=0)
+        flat = rows.reshape(-1)
+        np.subtract(flat, centre[: flat.size], out=flat)
+        out[g0 : g0 + len(rows)] = np.ldexp(rows, -frame.exponent, out=rows)
+    return out
+
+
+def _screen_slack(frame: UnitFrame, dim: int) -> float:
+    """``slack = 4 (2 delta + 2 e64)`` of :func:`_support_winners`, in the
+    frame of :func:`_frame_rows`."""
+    delta = (dim + 3) * 2.0**-24 * math.sqrt(dim) / 2
+    # corner bounds every |p_i| * frame.scale.  Its norm is taken in a
+    # power-of-two frame of its own, so that it cannot overflow or underflow;
+    # past 2**64 the slack exceeds every score's range, so it is capped there.
+    corner = np.abs(frame.centre) * frame.scale + frame.extent / 2
+    exp = math.frexp(corner.max())[1]
+    norm = math.sqrt(float((np.ldexp(corner, -exp) ** 2).sum()))
+    shift = min(exp + (frame.scale < 1) - frame.exponent, 64)
+    e64 = (dim + 1) * np.finfo(float).eps / 2 * math.ldexp(norm, shift)
+    return 4 * (2 * delta + 2 * e64)
+
+
+def _support_winners(pts: np.ndarray, dmat: np.ndarray) -> tuple[np.ndarray, int]:
+    """Exact ``argmax(dmat @ pts.T, axis=1)``, ties to the smallest index, and
+    the number of float32 screening scores formed.
+
+    The points are held as the float32 rows ``q`` of :func:`_frame_rows`, in
+    Z-ordered blocks (index order inside each).  A block's bounding box
+    bounds every score in it by its support ``sum_i max(d_i lo_i, d_i
+    hi_i)``.  Directions come in chunks sized so that the (block, direction)
+    bound matrix fits ``_BOUND_ENTRIES``.
+
+    A chunk is screened in float32.  Each direction first scores its
+    highest-bound block; blocks are then visited in decreasing bound order,
+    skipping a (direction, block) pair whose bound is below the direction's
+    best float32 score ``best32`` by more than ``slack``.  The blocks whose
+    best score comes within ``slack`` of ``best32`` are screened again, and
+    the points of theirs that do are rescored with the float64 product of
+    ``dmat`` and ``pts`` rows.  The largest float64 score wins, ties to the
+    smallest index.
+
+    Why that is exact (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, §3.1).  Let ``S(p) = d.q(p)`` in exact arithmetic.  A
+    float32 score lies within ``delta = (dim + 3) 2**-24 sqrt(dim)/2`` of
+    ``S``: the roundings of ``d`` and ``q`` and a ``dim``-term sum, with
+    ``||d|| = 1`` and ``|q_i| <= 1/2``.  A float64 score, taken into the
+    frame, lies within ``e64 = (dim + 1) eps/2 ||p|| 2**-exponent`` of ``S``.
+    So the float64 winner ``w`` has ``S(w) >= S(p) - 2 e64`` for every
+    ``p``, and any float32 score of ``w`` is at least ``best32 - 2 delta -
+    2 e64``: ``w`` survives both screens.  Its block's box holds its float32
+    row, so that block's bound is at least that score less ``delta`` (and a
+    float64 rounding far below ``delta``), hence at least ``best32 - 3 delta
+    - 2 e64`` for the final ``best32`` and for every earlier one: the block
+    is never skipped.  ``slack = 4 (2 delta + 2 e64)`` covers both cases, with
+    room to spare for the roundings of the frame itself.
+
+    Scores go through one reused float32 buffer.  Every float64 product has
+    at most ``_CHUNK_DIRS`` rows and ``_BLOCK_POINTS`` columns, so no N x dim
+    double is allocated.
     """
     n, dim = pts.shape
-    order, starts = _morton_order(pts), np.arange(0, n, _BLOCK_POINTS)
+    frame = unit_frame(pts)
+    order, starts = _morton_order(pts, frame), np.arange(0, n, _BLOCK_POINTS)
     for s0 in starts:
         order[s0 : s0 + _BLOCK_POINTS].sort()
-    block_pts = np.take(pts, order, axis=0)  # several times faster than pts[order]
-    lo, hi = np.minimum.reduceat(block_pts, starts), np.maximum.reduceat(block_pts, starts)
-    # A computed score or bound lies within (dim + 1) eps/2 ||corner|| of its
-    # exact value; the margin covers both with a factor of 4 to spare.  The
-    # norm is taken in an exact power-of-two frame, so that it cannot
-    # overflow or underflow.
-    corner = np.maximum(np.abs(lo), np.abs(hi))
-    exp = np.frexp(corner.max())[1]
-    norm = np.ldexp(np.sqrt((np.ldexp(corner, -exp) ** 2).sum(axis=1).max()), exp)
-    margin = 4 * (dim + 1) * np.finfo(float).eps * norm
+    rows32 = _frame_rows(pts, order, frame)
+    hi, lo = np.maximum.reduceat(rows32, starts), np.minimum.reduceat(rows32, starts)
+    box, slack = np.hstack([hi, lo]).astype(float), _screen_slack(frame, dim)
 
     assignment = np.empty(dmat.shape[0], dtype=np.int64)
-    box, buf = np.hstack([hi, lo]), np.empty(_CHUNK_DIRS * _BLOCK_POINTS)
+    buf = np.empty(_CHUNK_DIRS * _BLOCK_POINTS, dtype=np.float32)
     formed = 0
     step = max(_CHUNK_DIRS, _BOUND_ENTRIES // starts.size)
     for j0 in range(0, dmat.shape[0], step):
         chunk = dmat[j0 : j0 + step]
+        chunk32 = chunk.astype(np.float32)
         bound = box @ np.hstack([np.clip(chunk, 0, None), np.clip(chunk, None, 0)]).T
-        best = np.full(chunk.shape[0], -np.inf)
-        winner = np.zeros(chunk.shape[0], dtype=np.int64)
+        floor = np.full(chunk.shape[0], -np.inf)  # best32 - slack
+        block_best = np.full(bound.shape, -np.inf, dtype=np.float32)
+
+        def screen(b: int, part: np.ndarray) -> np.ndarray:
+            block = rows32[starts[b] : starts[b] + _BLOCK_POINTS]
+            scores = buf[: part.size * len(block)].reshape(part.size, len(block))
+            return np.matmul(chunk32[part], block.T, out=scores)
 
         def scan(b: int, rows: np.ndarray) -> int:
-            block = block_pts[starts[b] : starts[b] + _BLOCK_POINTS]
             for r0 in range(0, rows.size, _CHUNK_DIRS):
                 part = rows[r0 : r0 + _CHUNK_DIRS]
-                scores = buf[: part.size * len(block)].reshape(part.size, len(block))
-                np.matmul(chunk[part], block.T, out=scores)
-                arg = scores.argmax(axis=1)
-                val, idx = scores[np.arange(part.size), arg], order[starts[b] + arg]
-                better = (val > best[part]) | ((val == best[part]) & (idx < winner[part]))
-                best[part[better]], winner[part[better]] = val[better], idx[better]
-            return rows.size * len(block)
+                block_best[b, part] = top = screen(b, part).max(axis=1)
+                floor[part] = np.maximum(floor[part], top.astype(float) - slack)
+            return rows.size * min(_BLOCK_POINTS, n - starts[b])
 
-        seed, top_bound = bound.argmax(axis=0), bound.max(axis=1)
+        # an argmax over axis 0 would copy the whole bound matrix
+        seed, top_bound = (bound == bound.max(axis=0)).argmax(axis=0), bound.max(axis=1)
         for b in np.unique(seed):
             formed += scan(b, np.flatnonzero(seed == b))
+        bound[seed, np.arange(chunk.shape[0])] = -np.inf  # scanned already
         for b in np.argsort(-top_bound):
-            floor = best - margin
             if top_bound[b] < floor.min():
                 break
-            rows = np.flatnonzero((bound[b] >= floor) & (seed != b))
+            rows = np.flatnonzero(bound[b] >= floor)
             if rows.size:
                 formed += scan(b, rows)
+
+        # the floor rounded down to a float, so that float32 scores compare fast
+        floor = np.nextafter(floor.astype(np.float32), -np.inf)
+        best, winner = np.full(chunk.shape[0], -np.inf), np.zeros(chunk.shape[0], dtype=np.int64)
+        near_b, near_r = np.nonzero(block_best >= floor)
+        blocks, firsts = np.unique(near_b, return_index=True)
+        for b, rows in zip(blocks, np.split(near_r, firsts[1:])):
+            for r0 in range(0, rows.size, _CHUNK_DIRS):
+                part = rows[r0 : r0 + _CHUNK_DIRS]
+                cols = np.flatnonzero((screen(b, part) >= floor[part, None]).any(axis=0))
+                # two rows and two columns at least keep the product in BLAS's
+                # matrix multiply: numpy hands a 1 x 1 product to dot, whose
+                # last bit can differ
+                idx = order[starts[b] + (cols if cols.size > 1 else cols.repeat(2))]
+                scores = chunk[part if part.size > 1 else part.repeat(2)] @ np.take(pts, idx, axis=0).T
+                arg = scores[: part.size].argmax(axis=1)
+                val, idx = scores[np.arange(part.size), arg], idx[arg]
+                better = (val > best[part]) | ((val == best[part]) & (idx < winner[part]))
+                best[part[better]], winner[part[better]] = val[better], idx[better]
         assignment[j0 : j0 + chunk.shape[0]] = winner
-    return assignment, formed
+    return assignment, int(formed)
 
 
 def build_sketch(cloud: PointCloud, dirs: DirectionSet) -> CurvatureSketch:
     """Assign every direction to its support winner and tally win counts.
 
-    One exact kernel serves every cloud size: it skips the point blocks whose
-    bounding box cannot reach a direction's best score.  Of exactly tied
-    points the smallest index wins, at every size; ``scores_formed`` counts
-    the N*M scores actually computed.
+    One exact kernel serves every cloud size: it screens the points in
+    float32, skipping the point blocks whose bounding box cannot reach a
+    direction's best score, and rescores the near-best ones in float64.  Of
+    exactly tied points the smallest index wins, at every size;
+    ``scores_formed`` counts the float32 screening scores of the N*M.
     """
     if cloud.dim != dirs.dim:
         raise ValueError(f"dimension mismatch: cloud {cloud.dim}, dirs {dirs.dim}")

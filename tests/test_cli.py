@@ -604,6 +604,30 @@ def test_compress_rejects_out_of_range_hyperplane_flags(tmp_path, capsys, flags,
     assert not (tmp_path / "c_clusters.json").exists()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--hyperplanes", "--gamma", "0.5"], "compress --variant recursive does not read --gamma"),
+    (["--hyperplanes", "--variant", "gamma-threshold", "--gamma", "0.5", "--inner-alpha", "0.2"],
+     "compress --variant gamma-threshold does not read --inner-alpha"),
+    (["--hyperplanes", "--variant", "gamma-threshold", "--gamma", "0.5", "--inner-beta", "0"],
+     "compress --variant gamma-threshold does not read --inner-beta"),
+    (["--gamma", "0.5"], "compress without --hyperplanes does not read --gamma"),
+    (["--inner-alpha", "0.2"], "compress without --hyperplanes does not read --inner-alpha"),
+    (["--inner-beta", "0.1"], "compress without --hyperplanes does not read --inner-beta"),
+    (["--merge-angle", "0.1"], "compress without --hyperplanes does not read --merge-angle"),
+    (["--variant", "recursive", "--merge-angle", "0.1"],
+     "compress without --hyperplanes does not read --variant, --merge-angle"),
+])
+def test_compress_refuses_hyperplane_flags_it_does_not_read(tmp_path, capsys, flags, message):
+    # checked before the point file is read: this one does not exist
+    assert run([
+        "compress", "--in", str(tmp_path / "absent.csv"), "--dirs", "100", *flags,
+        "--out-prefix", str(tmp_path / "c"),
+    ]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("flags, code, message", [
     (["--inner-beta", "-1"], 1, "inner_beta must be finite and nonnegative"),
     (["--variant", "gamma-threshold", "--gamma", "1e-300"], 2, "no constraints survived"),

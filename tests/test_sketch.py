@@ -156,6 +156,27 @@ def test_winners_stay_exact_when_an_extent_is_tiny(tiny):
     assert np.array_equal(sk.assignment, np.argmax(pts @ dirs.directions.T, axis=0))
 
 
+@pytest.mark.parametrize("bound_entries", [sketch_module._BOUND_ENTRIES, 40])
+def test_winners_stay_exact_where_float32_cannot_order_them(monkeypatch, bound_entries):
+    # 4,500 rows about 1e-7 apart at a 1e9 offset, where a double's own
+    # rounding (about 1e-7) decides the winner, then the same rows again.  A
+    # row 1e-3 lower on every axis stretches the frame so that all the others
+    # share one Z-order key, and each copy lands in another block than its
+    # original; in that frame the rows still lie further apart than float32's
+    # resolution, so a float32 screen alone would pick other winners.  40
+    # bound entries make chunks of 256 directions.  Directions are the rows
+    # of the reference product, as in the kernel's: with the operands
+    # swapped, BLAS rounds some of these scores differently.
+    monkeypatch.setattr(sketch_module, "_BOUND_ENTRIES", bound_entries)
+    rows = 1e9 + np.random.default_rng(49).uniform(0, 2e-6, size=(4_500, 3))
+    pts = np.vstack([rows, rows, np.full((1, 3), 1e9 - 1e-3)])
+    dirs = sample_uniform(700, 3, seed=50)
+    sk = build_sketch(PointCloud(pts), dirs)
+    assert np.array_equal(sk.assignment, np.argmax(dirs.directions @ pts.T, axis=1))
+    copies = (sk.assignment >= len(rows)) & (sk.assignment < 2 * len(rows))
+    assert not copies.any()  # an exact tie goes to the first copy
+
+
 def test_kernel_memory_stays_bounded():
     # 5,000 directions on one block: scores unsplit into 256-row groups would
     # take about 80 MB
@@ -168,6 +189,21 @@ def test_kernel_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 8 * 2**20
+
+
+@pytest.mark.parametrize("dim, n_dirs", [(3, 1_000), (5, 5_000)])
+def test_kernel_memory_stays_below_twice_the_cloud(dim, n_dirs):
+    # the kernel's own copy of the cloud is float32, and no N x dim double
+    # is allocated, so its peak stays under twice the cloud's bytes
+    pts = np.random.default_rng(dim).standard_normal((1 << 18, dim))
+    cloud, dirs = PointCloud(pts), sample_uniform(n_dirs, dim, seed=dim)
+    tracemalloc.start()
+    try:
+        build_sketch(cloud, dirs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * cloud.points.nbytes
 
 
 def test_block_bound_prunes_the_sphere():
