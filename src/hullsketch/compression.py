@@ -244,13 +244,13 @@ def hyperplane_compress(
     else:
         if gamma is None or not 0.0 < gamma < np.inf:
             raise ValueError("gamma-threshold variant needs a finite positive gamma")
-        reps = cluster_map.representatives
-        if reps.size >= 3:
-            vals = np.sort(cloud.points[reps] @ dirs.directions.T, axis=0)
-            spread3 = vals[2:, :] - vals[:-2, :]
-            surviving = np.flatnonzero(spread3.min(axis=0) < gamma).astype(np.int64)
-        else:
-            surviving = np.array([], dtype=np.int64)
+        rep_pts = cloud.points[cluster_map.representatives]
+        cols = max(1, _GRAM_ENTRIES // max(1, len(rep_pts)))  # as many values as a Gram block
+        spread3 = np.empty(len(dirs))  # the narrowest slab of three reps, inf for fewer
+        for lo in range(0, len(dirs), cols):
+            vals = np.sort(rep_pts @ dirs.directions[lo : lo + cols].T, axis=0)
+            spread3[lo : lo + cols] = (vals[2:] - vals[:-2]).min(axis=0, initial=np.inf)
+        surviving = np.flatnonzero(spread3 < gamma).astype(np.int64)
 
     if surviving.size == 0:
         raise NoConstraintsSurvivedError("no constraints survived")

@@ -11,12 +11,12 @@ intersection (``scipy.spatial.HalfspaceIntersection``) around the reference
 centroid, in a frame where the hull is round, so a thin hull keeps full
 precision.  A polygon with M edges has at most M vertices and a 3-polytope
 with M facets at most 2M - 4, so this takes M log M time and O(M) memory.
-When the centroid is not safely inside every halfspace, 2-d retries once at
-the Chebyshev centre (one HiGHS LP) and 3-d solves one support LP per probe
-(``support_under_constraints``), as 4-d and up always do: there the vertex
-count grows superlinearly in M (a 5-d simplex sketch with M = 70,000 gave
-151k vertices after 35 s and ~800 MB on a 2-CPU Xeon, against 8.5 s for 20
-LPs; at M = 5,000, 0.57 s against 1.48 s for 50 LPs).
+When the centroid is not safely inside every halfspace, Qhull runs once more
+around the Chebyshev centre (one HiGHS LP).  From 4-d on, each probe solves
+one support LP (``support_under_constraints``): there the vertex count grows
+superlinearly in M (a 5-d simplex sketch with M = 70,000 gave 151k vertices
+after 35 s and ~800 MB on a 2-CPU Xeon, against 8.5 s for 20 LPs; at
+M = 5,000, 0.57 s against 1.48 s for 50 LPs).
 
 The reference hull and the kept set are both a :class:`PointCloud`, read
 as the convex hull of its rows.
@@ -50,7 +50,7 @@ class UnboundedOuterHullError(NumericalError):
 
 
 class EmptyOuterHullError(NumericalError):
-    """The halfspaces have no point in common (in 2-d: no interior point)."""
+    """The halfspaces have no point in common (up to 3-d: no interior point)."""
 
 
 class LinearProgramError(NumericalError):
@@ -107,28 +107,30 @@ def _centred(outer: OuterHull, origin: np.ndarray) -> tuple[OuterHull, float]:
 
 
 def _chebyshev_centre(outer: OuterHull, origin: np.ndarray) -> np.ndarray:
-    """Centre of the largest disc in a 2-d halfspace intersection: one HiGHS
-    LP, max r subject to n . x + r <= b (unit n), in the frame of :func:`_centred`."""
+    """Centre of the largest ball in a halfspace intersection: one HiGHS LP,
+    max r subject to n . x + r <= b (unit n), in the frame of :func:`_centred`."""
     from scipy.optimize import linprog
 
     centred, unit = _centred(outer, origin)
     a_ub = np.column_stack([outer.normals, np.ones(len(outer))])
-    bounds = [(None, None), (None, None), (0, None)]
-    res = linprog([0, 0, -1], A_ub=a_ub, b_ub=centred.offsets, bounds=bounds, method="highs")
+    cost, bounds = np.r_[np.zeros(outer.dim), -1], [(None, None)] * outer.dim + [(0, None)]
+    res = linprog(cost, A_ub=a_ub, b_ub=centred.offsets, bounds=bounds, method="highs")
     _check_lp(res, "Chebyshev centre")
-    if res.x[2] <= 0:
+    if res.x[-1] <= 0:
         raise EmptyOuterHullError("outer hull has no interior")
-    return origin + unit * res.x[:2]
+    return origin + unit * res.x[:-1]
 
 
-def _outer_vertices(outer: OuterHull, interior: np.ndarray) -> np.ndarray | None:
+def _outer_vertices(outer: OuterHull, interior: np.ndarray) -> np.ndarray:
     """Vertices of a 2-d or 3-d halfspace intersection, by Qhull, around
-    ``interior``; None when ``interior`` is not strictly inside every
-    halfspace, sits too near one face, or Qhull rejects the input.
+    ``interior``; when that is not strictly inside every halfspace, sits too
+    near one face, or Qhull rejects the input, once more around the
+    Chebyshev centre.
 
     Raises :class:`UnboundedOuterHullError` unless the origin lies strictly
     inside the hull of the normals (otherwise some direction ``y`` has
-    ``n . y <= 0`` for every normal and the intersection recedes along it).
+    ``n . y <= 0`` for every normal and the intersection recedes along it),
+    and :class:`EmptyOuterHullError` when the intersection has no interior.
     """
     from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
 
@@ -142,33 +144,36 @@ def _outer_vertices(outer: OuterHull, interior: np.ndarray) -> np.ndarray | None
         raise UnboundedOuterHullError("outer hull unbounded") from None
     if normals_hull.equations[:, -1].max() >= -margin:
         raise UnboundedOuterHullError("outer hull unbounded")
-    slack = outer.offsets - outer.normals @ interior
-    if not np.all(slack > 0):
-        return None
-    # Qhull works on the dual points n / slack, whose hull is the polar of the
-    # outer hull about ``interior``.  A slab 1e-9 thick puts two of them 1e9
-    # out on either side, and Qhull's roundoff, eps times the largest
-    # coordinate, then merges away real vertices.  So scale each principal
-    # axis of the dual points by its two-sided reach, the nearer of its two
-    # extremes: in that frame a thin hull is round, and x = interior +
-    # frame @ y maps its vertices back.  The origin is strictly inside the
-    # dual points' hull (the check above), so every reach is positive.
-    dual = outer.normals / slack[:, None]
-    vt = np.linalg.svd(dual, full_matrices=False)[2]
-    along = dual @ vt.T
-    reach = np.minimum(along.max(axis=0), -along.min(axis=0))
-    # An interior point near one face leaves one far dual point on one side
-    # only, which no frame pulls in; keep the vertex path while Qhull's
-    # roundoff there still spares half the digits.
-    if (outer.dim + 1) * eps * np.abs(along / reach).max() > np.sqrt(eps):
-        return None
-    frame = (vt.T / reach) @ vt
-    halfspaces = np.column_stack([outer.normals @ frame, -slack])
-    try:
-        verts = HalfspaceIntersection(halfspaces, np.zeros(outer.dim)).intersections
-    except QhullError:
-        return None
-    return interior + verts @ frame
+    for retry in (False, True):
+        centre = _chebyshev_centre(outer, interior) if retry else interior
+        slack = outer.offsets - outer.normals @ centre
+        if not np.all(slack > 0):
+            continue
+        # Qhull works on the dual points n / slack, whose hull is the polar of
+        # the outer hull about ``centre``.  A slab 1e-9 thick puts two of them
+        # 1e9 out on either side, and Qhull's roundoff, eps times the largest
+        # coordinate, then merges away real vertices.  So scale each principal
+        # axis of the dual points by its two-sided reach, the nearer of its
+        # two extremes: in that frame a thin hull is round, and x = centre +
+        # frame @ y maps its vertices back.  The origin is strictly inside the
+        # dual points' hull (the check above), so every reach is positive.
+        dual = outer.normals / slack[:, None]
+        vt = np.linalg.svd(dual, full_matrices=False)[2]
+        along = dual @ vt.T
+        reach = np.minimum(along.max(axis=0), -along.min(axis=0))
+        # A point near one face leaves one far dual point on one side only,
+        # which no frame pulls in; keep it while Qhull's roundoff there still
+        # spares half the digits.
+        if (outer.dim + 1) * eps * np.abs(along / reach).max() > np.sqrt(eps):
+            continue
+        frame = (vt.T / reach) @ vt
+        halfspaces = np.column_stack([outer.normals @ frame, -slack])
+        try:
+            verts = HalfspaceIntersection(halfspaces, np.zeros(outer.dim)).intersections
+        except QhullError:
+            continue
+        return centre + verts @ frame
+    raise EmptyOuterHullError("outer hull has no interior")
 
 
 def probe_support(hull: PointCloud, probes: DirectionSet) -> np.ndarray:
@@ -183,15 +188,13 @@ def probe_support(hull: PointCloud, probes: DirectionSet) -> np.ndarray:
 def _outer_support(outer: OuterHull, probes: DirectionSet, interior: np.ndarray) -> np.ndarray:
     """``h_outer(d)`` of a halfspace intersection along every probe.
 
-    Up to 3-d this is the max over the intersection's vertices, from one
-    Qhull call around ``interior``.  When ``interior`` is not strictly inside
-    every halfspace, or so near one face that Qhull's roundoff would eat half
-    the digits, and in 4-d and up, each probe solves one support LP instead,
-    in the frame of :func:`_centred` about ``interior``.
+    Up to 3-d this is the max over the intersection's vertices from
+    :func:`_outer_vertices` around ``interior``.  In 4-d and up each probe
+    solves one support LP instead, in the frame of :func:`_centred` about
+    ``interior``.
     """
-    verts = _outer_vertices(outer, interior) if outer.dim <= 3 else None
-    if verts is not None:
-        return probe_support(PointCloud(verts), probes)
+    if outer.dim <= 3:
+        return probe_support(PointCloud(_outer_vertices(outer, interior)), probes)
     centred, unit = _centred(outer, interior)
     h = np.array([support_under_constraints(centred, d) for d in probes.directions])
     return probes.directions @ interior + unit * h
@@ -213,18 +216,13 @@ def outer_error(
     reference centroid.  ``h_true`` may pass
     ``probe_support(true_extremes, probes)`` computed once for many outer
     hulls.  An unbounded intersection raises
-    :class:`UnboundedOuterHullError`, an empty one (in 2-d also one with no
-    interior) :class:`EmptyOuterHullError`.
+    :class:`UnboundedOuterHullError`, an empty one (up to 3-d also one with
+    no interior) :class:`EmptyOuterHullError`.
     """
     if outer.dim != true_extremes.dim:
         raise ValueError("dimension mismatch")
     if outer.dim == 2:
-        centroid = true_extremes.points.mean(axis=0)
-        verts = _outer_vertices(outer, centroid)
-        if verts is None:
-            verts = _outer_vertices(outer, _chebyshev_centre(outer, centroid))
-        if verts is None:
-            raise EmptyOuterHullError("outer hull has no interior")
+        verts = _outer_vertices(outer, true_extremes.points.mean(axis=0))
         return farthest_distance(verts, true_extremes, true_extremes.points)  # as inner_error
     if probes is None:
         raise ValueError("probe directions are required for the support-gap estimate")

@@ -807,3 +807,55 @@ def test_gen_rejects_rank_deficient_transform(tmp_path, capsys):
         "--transform", str(tf), "--out", str(tmp_path / "pts.csv"),
     ]) == 1
     assert "nonsingular" in capsys.readouterr().err
+
+
+def test_gen_applies_the_shift_column_of_a_transform(tmp_path):
+    # a (dims, dims + 1) file is the linear part followed by the shift
+    linear, shift = np.array([[2.0, 0.5], [0.0, 1.0]]), np.array([3.0, -1.0])
+    tf, plain, moved = tmp_path / "map.csv", tmp_path / "plain.csv", tmp_path / "moved.csv"
+    write_matrix(tf, np.column_stack([linear, shift]))
+    common = ["gen", "--shape", "cube", "--dims", "2", "--points", "40", "--seed", "3"]
+    assert run([*common, "--out", str(plain)]) == 0
+    assert run([*common, "--transform", str(tf), "--out", str(moved)]) == 0
+    np.testing.assert_allclose(read_matrix(moved), read_matrix(plain) @ linear.T + shift, rtol=1e-15)
+
+
+def test_bounds_writes_its_json_to_out(tmp_path, capsys):
+    argv = ["bounds", "--n", "3", "--omega", "0.25", "--k", "0.25", "--m", "1000"]
+    assert run(argv) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "bounds.json"
+    assert run([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text() == printed
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gen", "--shape", "cube", "--dims", "3", "--points", "10", "--transform", "{short_map}",
+      "--out", "{dir}/g.csv"], "transform file must be (3, 3) or (3, 4), got (2, 4)"),
+    (["error", "--in", "{pts}", "--inner", "{wide}", "--halfspaces", "{box}", "--probes", "5",
+      "--out", "{dir}/r.json"], "{wide}: expected 3 or 4 columns, got 5"),
+    (["error", "--in", "{pts}", "--inner", "{inner}", "--halfspaces", "{square}", "--probes", "5",
+      "--out", "{dir}/r.json"], "halfspace dimension does not match the points"),
+    (["bounds", "--sweep"], "--sweep needs --out for the CSV"),
+    (["bench", "--schedule", "10", "--out", "{dir}/b.csv"], "bench needs --in or --shape"),
+    (["bench", "--in", "{pts}", "--schedule", "10", "--probes", "0", "--out", "{dir}/b.csv"],
+     "bench needs probes >= 1 in dimension >= 3"),
+], ids=["gen-transform-shape", "error-inner-columns", "error-halfspace-dim", "bounds-sweep-no-out",
+        "bench-no-cloud", "bench-3d-no-probes"])
+def test_malformed_input_exits_one_with_one_line_and_no_file(tmp_path, capsys, argv, message):
+    files = {
+        "short_map": np.ones((2, 4)),
+        "wide": np.ones((3, 5)),
+        "inner": np.eye(3),
+        "box": np.column_stack([np.vstack([np.eye(3), -np.eye(3)]), np.ones(6)]),
+        "square": np.column_stack([np.vstack([np.eye(2), -np.eye(2)]), np.ones(4)]),
+    }
+    paths = {name: str(tmp_path / f"{name}.csv") for name in files}
+    for name, data in files.items():
+        write_matrix(paths[name], data)
+    paths["pts"] = str(gen_simplex(tmp_path, n=40, seed=88, dims=3))
+    before = sorted(tmp_path.iterdir())
+    assert run([a.format(dir=tmp_path, **paths) for a in argv]) == 1
+    assert capsys.readouterr().err == f"error: {message.format(**paths)}\n"
+    assert sorted(tmp_path.iterdir()) == before

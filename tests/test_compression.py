@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from hullsketch import compression
 from hullsketch import (
     CurvatureSketch,
     NoConstraintsSurvivedError,
@@ -275,3 +277,31 @@ def test_gamma_variant_too_tight_raises():
     with pytest.raises(NoConstraintsSurvivedError):
         hyperplane_compress(sketch, cm, variant="gamma-threshold", gamma=1e-9)
 
+
+
+def test_gamma_variant_scores_representatives_in_bounded_blocks(monkeypatch):
+    # Every point of a 2,000-point sphere represents itself: the support values
+    # of all representatives along all 2,000 directions would take 32 MB at once.
+    rng = np.random.default_rng(16)
+    raw = rng.standard_normal((2000, 3))
+    cloud = PointCloud(raw / np.linalg.norm(raw, axis=1, keepdims=True))
+    sketch = build_sketch(cloud, sample_uniform(2000, 3, seed=17))
+    everyone = np.arange(len(cloud))
+    cm = compression.ClusterMap(representatives=everyone, members={i: [i] for i in everyone})
+    tracemalloc.start()
+    try:
+        hull = hyperplane_compress(sketch, cm, variant="gamma-threshold", gamma=1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
+    # one direction per block, and all of them in one block: the same survivors
+    for entries in (7, 1 << 40):
+        monkeypatch.setattr(compression, "_GRAM_ENTRIES", entries)
+        again = hyperplane_compress(sketch, cm, variant="gamma-threshold", gamma=1e-3)
+        assert np.array_equal(again.normals, hull.normals)
+        assert np.array_equal(again.offsets, hull.offsets)
+    # two representatives bound no slab of three
+    two = compression.ClusterMap(representatives=[0, 1], members={0: [0], 1: [1]})
+    with pytest.raises(NoConstraintsSurvivedError):
+        hyperplane_compress(sketch, two, variant="gamma-threshold", gamma=10.0)

@@ -334,19 +334,32 @@ def test_vertex_path_unbounded_raises(monkeypatch, name, rotation):
         outer_error(outer, PointCloud(CUBE), sample_uniform(20, 3, seed=36))
 
 
-def test_centroid_on_a_boundary_takes_the_lp(monkeypatch):
+def count_chebyshev_retries(monkeypatch):
+    calls = []
+    chebyshev = metrics._chebyshev_centre
+    monkeypatch.setattr(
+        metrics, "_chebyshev_centre", lambda *a: calls.append(1) or chebyshev(*a)
+    )
+    return calls
+
+
+def test_centroid_on_a_boundary_retries_at_the_chebyshev_centre(monkeypatch):
     # the cube [-1, 1]^3 cut by x <= 0, a plane through the cube's centroid
     normals = np.vstack([np.eye(3), -np.eye(3), [[1.0, 0, 0]]])
     outer = make_outer(normals, [1.0, 1, 1, 1, 1, 1, 0])
     probes = sample_uniform(30, 3, seed=37)
-    calls = count_lp_calls(monkeypatch)
-    got = _outer_support(outer, probes, CUBE.mean(axis=0))
-    assert len(calls) == len(probes)
     want = np.array([support_under_constraints(outer, d) for d in probes.directions])
-    assert np.array_equal(got, want)
+    calls, retries = count_lp_calls(monkeypatch), count_chebyshev_retries(monkeypatch)
+    got = _outer_support(outer, probes, CUBE.mean(axis=0))
+    assert (len(retries), len(calls)) == (1, 0)
+    assert np.max(np.abs(got - want)) <= 1e-9 * np.abs(CUBE).max()
     res = outer_error(outer, PointCloud(CUBE), probes)
     h_true = probe_support(PointCloud(CUBE), probes)
-    assert res == max(0.0, float(np.max(want - h_true)))
+    assert res == pytest.approx(max(0.0, float(np.max(want - h_true))), abs=1e-9)
+    # x <= 0 and -x <= 0 leave the square x = 0, bounded but without interior
+    flat = make_outer(np.vstack([normals, [[-1.0, 0, 0]]]), [1.0, 1, 1, 1, 1, 1, 0, 0])
+    with pytest.raises(EmptyOuterHullError, match="no interior"):
+        outer_error(flat, PointCloud(CUBE), probes)
 
 
 def with_axes(dirs):
@@ -381,7 +394,8 @@ def test_vertex_support_on_a_thin_outer_hull(monkeypatch, power):
 def test_interior_point_near_a_face(monkeypatch, depth):
     # The interior point sits `depth` inside the plane most aligned with +x.
     # No frame pulls in the one far dual point that leaves; at 1e-12 Qhull
-    # would merge away vertices (an error of 5e-3), so that case takes the LP.
+    # would merge away vertices (an error of 5e-3), so that case retries at
+    # the Chebyshev centre.
     points = shape_3d("cube")
     cloud, dirs = PointCloud(points), sample_uniform(400, 3, seed=34)
     outer = outer_hull(build_sketch(cloud, dirs), cloud, dirs)
@@ -389,10 +403,10 @@ def test_interior_point_near_a_face(monkeypatch, depth):
     centroid = points.mean(axis=0)
     interior = centroid + (outer.offsets[i] - outer.normals[i] @ centroid - depth) * outer.normals[i]
     probes = sample_uniform(60, 3, seed=35)
-    calls = count_lp_calls(monkeypatch)
-    got = _outer_support(outer, probes, interior)
-    assert len(calls) == (len(probes) if depth < 1e-8 else 0)
     want = np.array([support_under_constraints(outer, d) for d in probes.directions])
+    calls, retries = count_lp_calls(monkeypatch), count_chebyshev_retries(monkeypatch)
+    got = _outer_support(outer, probes, interior)
+    assert (len(retries), len(calls)) == (1 if depth < 1e-8 else 0, 0)
     assert np.max(np.abs(got - want)) <= 1e-9 * np.abs(points).max()
 
 
@@ -427,9 +441,9 @@ OUTER_ERROR_PATHS = {
         np.array([[-1.0, -1], [1, -1], [-1, 1]]), None, 1, 0,
     ),
     "3-d vertices": (make_outer(CROSS_3D, np.ones(6)), CROSS_3D, sample_uniform(20, 3, seed=6), 0, 0),
-    "3-d LP, centroid on a face": (
+    "3-d Chebyshev retry": (
         make_outer(np.vstack([CROSS_3D, [[1.0, 0, 0]]]), [1.0, 1, 1, 1, 1, 1, 0]),
-        CUBE, sample_uniform(20, 3, seed=37), 0, 20,
+        CUBE, sample_uniform(20, 3, seed=37), 1, 0,
     ),
     "4-d LPs": (make_outer(CROSS_4D, np.ones(8)), CROSS_4D, sample_uniform(20, 4, seed=38), 0, 20),
 }
@@ -438,11 +452,7 @@ OUTER_ERROR_PATHS = {
 @pytest.mark.parametrize("path", list(OUTER_ERROR_PATHS))
 def test_outer_error_returns_a_float_on_every_path(monkeypatch, path):
     outer, points, probes, retries, lps = OUTER_ERROR_PATHS[path]
-    lp_calls, centres = count_lp_calls(monkeypatch), []
-    chebyshev = metrics._chebyshev_centre
-    monkeypatch.setattr(
-        metrics, "_chebyshev_centre", lambda *a: centres.append(1) or chebyshev(*a)
-    )
+    lp_calls, centres = count_lp_calls(monkeypatch), count_chebyshev_retries(monkeypatch)
     value = outer_error(outer, PointCloud(points), probes)
     assert type(value) is float
     assert (len(centres), len(lp_calls)) == (retries, lps)

@@ -91,7 +91,7 @@ def test_exact_ties_go_to_smallest_index(dim, n, scale, offset):
     pts = scale * (offset + rng.integers(-2, 3, size=(n, dim)).astype(float))
     dirs = dyadic_directions(dim, rng)
     sk = build_sketch(PointCloud(pts), dirs)
-    assert np.array_equal(sk.assignment, np.argmax(pts @ dirs.directions.T, axis=0))
+    assert np.array_equal(sk.assignment, np.argmax(dirs.directions @ pts.T, axis=1))
     assert 0 < sk.scores_formed <= n * len(dirs)
 
 
@@ -108,7 +108,7 @@ def test_exact_ties_when_one_block_is_scored_by_many_directions():
     # one block seeds all 600 directions, so its scores come in groups of 256
     pts, dirs = tied_grid_and_directions(_BLOCK_POINTS, 600, seed=41)
     sk = build_sketch(PointCloud(pts), dirs)
-    assert np.array_equal(sk.assignment, np.argmax(pts @ dirs.directions.T, axis=0))
+    assert np.array_equal(sk.assignment, np.argmax(dirs.directions @ pts.T, axis=1))
     assert sk.scores_formed == _BLOCK_POINTS * 600
 
 
@@ -119,7 +119,7 @@ def test_exact_ties_across_direction_chunks(monkeypatch, chunk_dirs, bound_entri
     monkeypatch.setattr(sketch_module, "_BOUND_ENTRIES", bound_entries)
     pts, dirs = tied_grid_and_directions(3 * _BLOCK_POINTS + 5, 700, seed=42)
     sk = build_sketch(PointCloud(pts), dirs)
-    assert np.array_equal(sk.assignment, np.argmax(pts @ dirs.directions.T, axis=0))
+    assert np.array_equal(sk.assignment, np.argmax(dirs.directions @ pts.T, axis=1))
 
 
 @pytest.mark.parametrize("exponent", [-600, 600])
@@ -143,7 +143,7 @@ def test_winners_stay_exact_when_the_extent_overflows():
     pts = np.array([[-1e308, 0.0], [1e308, 1.0], [0.0, 0.5], [1e308, -1.0]])
     dirs = sample_uniform(64, 2, seed=47)
     sk = build_sketch(PointCloud(pts), dirs)
-    assert np.array_equal(sk.assignment, np.argmax(pts @ dirs.directions.T, axis=0))
+    assert np.array_equal(sk.assignment, np.argmax(dirs.directions @ pts.T, axis=1))
 
 
 @pytest.mark.filterwarnings("error")
@@ -153,7 +153,7 @@ def test_winners_stay_exact_when_an_extent_is_tiny(tiny):
     pts = np.array([[0.0, 0.0], [1.0, tiny], [0.5, 0.0], [0.25, tiny]])
     dirs = sample_uniform(64, 2, seed=48)
     sk = build_sketch(PointCloud(pts), dirs)
-    assert np.array_equal(sk.assignment, np.argmax(pts @ dirs.directions.T, axis=0))
+    assert np.array_equal(sk.assignment, np.argmax(dirs.directions @ pts.T, axis=1))
 
 
 @pytest.mark.parametrize("bound_entries", [sketch_module._BOUND_ENTRIES, 40])
@@ -212,7 +212,7 @@ def test_block_bound_prunes_the_sphere():
     cloud = PointCloud(raw / np.linalg.norm(raw, axis=1, keepdims=True))
     dirs = sample_uniform(300, 3, seed=36)
     sk = build_sketch(cloud, dirs)
-    assert np.array_equal(sk.assignment, np.argmax(cloud.points @ dirs.directions.T, axis=0))
+    assert np.array_equal(sk.assignment, np.argmax(dirs.directions @ cloud.points.T, axis=1))
     assert sk.scores_formed < 0.5 * len(cloud) * len(dirs)
 
 
