@@ -28,10 +28,10 @@ from .datagen import SHAPE_KINDS, ShapeSpec, generate
 from .directions import sample_uniform
 from .geometry import NumericalError, PointCloud, exact_extreme_points
 from .io import read_halfspaces, read_matrix, write_halfspaces, write_matrix
-from .metrics import UnboundedOuterHullError, inner_error, outer_error, probe_support
+from .metrics import accuracy_curve, inner_error, outer_error, reference_hull
 from .sketch import THRESHOLD_MODES, CurvatureSketch, OuterHull, build_sketch, outer_hull, threshold_filter
 
-__all__ = ["build_parser", "bench_rows", "main", "entrypoint"]
+__all__ = ["build_parser", "main", "entrypoint"]
 
 # Derived-seed offsets so each random stage has its own stream.
 FILTER_SEED_OFFSET = 1
@@ -89,17 +89,6 @@ def _read_inner_csv(path: str, dim: int) -> np.ndarray:
     )
 
 
-def _reference(cloud: PointCloud, seed: int, oracle_cap: int) -> tuple[PointCloud, str]:
-    """Reference vertex set for inner error, and its tag: the oracle's
-    extreme points of the cloud, or above ``oracle_cap`` points of a seeded
-    ``oracle_cap``-point subsample."""
-    if len(cloud) <= oracle_cap:
-        return PointCloud(cloud.points[exact_extreme_points(cloud)]), "oracle"
-    rng = np.random.Generator(np.random.PCG64(seed + SUBSAMPLE_SEED_OFFSET))
-    sub = cloud.points[np.sort(rng.choice(len(cloud), size=oracle_cap, replace=False))]
-    return PointCloud(sub[exact_extreme_points(PointCloud(sub))]), "oracle-subsample"
-
-
 def _probes(args, dim: int):
     """The outer error's probe directions; None in the plane, where it is exact."""
     return None if dim == 2 else sample_uniform(args.probes, dim, args.seed + PROBE_SEED_OFFSET)
@@ -120,16 +109,8 @@ def _outer_method(dim: int) -> str:
 def _generate(args, seed: int) -> PointCloud:
     """Synthetic cloud from --shape/--dims/--points/--transform."""
     matrix, shift = _load_transform(args.transform, args.dims)
-    return generate(
-        ShapeSpec(
-            kind=args.shape,
-            dim=args.dims,
-            count=args.points,
-            seed=seed,
-            transform=matrix,
-            shift=shift,
-        )
-    )
+    spec = ShapeSpec(args.shape, args.dims, args.points, seed, transform=matrix, shift=shift)
+    return generate(spec)
 
 
 def cmd_gen(args) -> None:
@@ -273,7 +254,7 @@ def cmd_error(args) -> None:
         raise CliValidationError("halfspace dimension does not match the points")
     outer = OuterHull(normals=normals, offsets=offsets)
 
-    reference, reference_tag = _reference(cloud, args.seed, args.oracle_cap)
+    reference, reference_tag = reference_hull(cloud, args.oracle_cap, args.seed + SUBSAMPLE_SEED_OFFSET)
     inner_val = inner_error(reference, PointCloud(kept))
 
     outer_val, outer_method = None, None
@@ -344,18 +325,10 @@ def cmd_bounds(args) -> None:
         print(text)
 
 
-def bench_rows(args) -> list[dict]:
-    """Run the direction-count schedule and return one metrics row per entry.
-
-    ``args`` is the namespace ``build_parser()`` parses for ``bench``.  The
-    schedule shares a single nested direction sample: the run at M uses
-    the first M directions of the longest run, so found sets grow and the
-    outer constraint sets are nested, making the error columns non-increasing
-    sequences rather than statistical trends.  Each row's errors are the
-    ones ``error`` reports for the sketch at M: the same reference hull,
-    probes and calls.
-    """
-    schedule = args.schedule
+def cmd_bench(args) -> None:
+    """Errors along a schedule that shares one nested direction sample: the
+    run at M uses the first M directions of the longest run.  Each row's
+    errors are the ones ``error`` reports for the sketch at M."""
     if args.points_path is not None:
         given = [f for f in ("shape", "transform", "gen_seed") if getattr(args, f) is not None]
         if given:
@@ -368,49 +341,18 @@ def bench_rows(args) -> list[dict]:
         raise CliValidationError("bench needs --in or --shape")
     if cloud.dim >= 3 and args.probes < 1:
         raise CliValidationError("bench needs probes >= 1 in dimension >= 3")
-    dirs = sample_uniform(schedule[-1], cloud.dim, args.seed)
-    full = build_sketch(cloud, dirs)
-    reference, reference_tag = _reference(cloud, args.seed, args.oracle_cap)
-    probes = _probes(args, cloud.dim)
-    h_true = None if probes is None else probe_support(cloud, probes)
-
-    rows = []
-    for m in schedule:
-        prefix_dirs = dirs.prefix(m)
-        sketch_m = CurvatureSketch(cloud, prefix_dirs, full.assignment[:m])
-        inner_m = threshold_filter(
-            sketch_m, args.alpha, args.mode, args.seed + FILTER_SEED_OFFSET
-        )
-        inner_val = math.inf
-        if len(inner_m) > 0:
-            inner_val = inner_error(reference, PointCloud(inner_m.select(cloud)))
-        hull_m = outer_hull(sketch_m, cloud, prefix_dirs)
-        try:  # too few directions leave the outer hull open: an infinite error
-            outer_val = outer_error(hull_m, cloud, probes, h_true=h_true)
-        except UnboundedOuterHullError:
-            outer_val = math.inf
-        rows.append(
-            {
-                "n_dirs": m,
-                "n_found": int(np.count_nonzero(sketch_m.counts)),
-                "n_kept": len(inner_m),
-                "inner_error": inner_val,
-                "outer_error": outer_val,
-                "method": _outer_method(cloud.dim),
-                "reference": reference_tag,
-            }
-        )
-    return rows
-
-
-def cmd_bench(args) -> None:
-    rows = bench_rows(args)
+    sketch = build_sketch(cloud, sample_uniform(args.schedule[-1], cloud.dim, args.seed))
+    reference, _ = reference_hull(cloud, args.oracle_cap, args.seed + SUBSAMPLE_SEED_OFFSET)
+    rows = accuracy_curve(
+        sketch, args.schedule, reference, _probes(args, cloud.dim),
+        alpha=args.alpha, mode=args.mode, filter_seed=args.seed + FILTER_SEED_OFFSET,
+    )
     with open(args.out, "w") as fh:
         fh.write("# n_dirs,n_found,n_kept,inner_error,outer_error,method\n")
         for r in rows:
             fh.write(
                 f"{r['n_dirs']},{r['n_found']},{r['n_kept']},"
-                f"{r['inner_error']:.17g},{r['outer_error']:.17g},{r['method']}\n"
+                f"{r['inner_error']:.17g},{r['outer_error']:.17g},{_outer_method(cloud.dim)}\n"
             )
 
 
@@ -466,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shape", required=True, choices=SHAPE_KINDS)
     p.add_argument("--dims", type=int, required=True)
     p.add_argument("--points", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_ranged(int, "seed", 0), default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--transform", default=None, help="CSV with the affine map")
     p.set_defaults(run=cmd_gen)
@@ -476,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dirs", type=_ranged(int, "dirs", 1), required=True)
     p.add_argument("--alpha", type=_ranged(float, "alpha", 0, 1), default=0.0)
     p.add_argument("--mode", choices=THRESHOLD_MODES, default=THRESHOLD_MODES[0])
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_ranged(int, "seed", 0), default=0)
     p.add_argument("--out-prefix", required=True)
     p.add_argument("--save-sketch", action="store_true")
     p.set_defaults(run=cmd_sketch)
@@ -484,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compress", help="vertex and hyperplane compression")
     p.add_argument("--in", dest="points_path", required=True)
     p.add_argument("--out-prefix", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_ranged(int, "seed", 0), default=0)
     source = p.add_mutually_exclusive_group()  # a saved sketch brings its own directions
     source.add_argument("--dirs", type=_ranged(int, "dirs", 1), default=1000)
     source.add_argument("--sketch-json", default=None)
@@ -506,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inner", required=True)
     p.add_argument("--halfspaces", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_ranged(int, "seed", 0), default=0)
     p.add_argument("--probes", type=_ranged(int, "probes", 0), default=200)
     p.add_argument("--oracle-cap", type=_ranged(int, "oracle-cap", 1), default=DEFAULT_ORACLE_CAP)
     p.add_argument("--sketch-json", default=None)
@@ -529,12 +471,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="error-vs-directions curves over a schedule")
     p.add_argument("--schedule", required=True, type=_parse_schedule)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_ranged(int, "seed", 0), default=0)
     p.add_argument("--in", dest="points_path", default=None)
     p.add_argument("--shape", choices=SHAPE_KINDS, default=None)
     p.add_argument("--dims", type=int, default=3)
     p.add_argument("--points", type=int, default=10000)
-    p.add_argument("--gen-seed", type=int, default=None)
+    p.add_argument("--gen-seed", type=_ranged(int, "gen-seed", 0), default=None)
     p.add_argument("--alpha", type=_ranged(float, "alpha", 0, 1), default=0.0)
     p.add_argument("--mode", choices=THRESHOLD_MODES, default=THRESHOLD_MODES[0])
     p.add_argument("--probes", type=_ranged(int, "probes", 0), default=200)

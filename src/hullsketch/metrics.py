@@ -19,7 +19,9 @@ after 35 s and ~800 MB on a 2-CPU Xeon, against 8.5 s for 20 LPs; at
 M = 5,000, 0.57 s against 1.48 s for 50 LPs).
 
 The reference hull and the kept set are both a :class:`PointCloud`, read
-as the convex hull of its rows.
+as the convex hull of its rows.  :func:`reference_hull` is the one policy
+that picks the reference, and :func:`accuracy_curve` gives both errors
+along a nested schedule of direction counts: the paper's accuracy curve.
 
 ``scipy.spatial`` and ``scipy.optimize`` are imported inside the functions
 that call Qhull or HiGHS, so only a run that needs them pays for them.  Keep
@@ -32,16 +34,18 @@ import math
 import numpy as np
 
 from .directions import DirectionSet
-from .geometry import NumericalError, PointCloud, farthest_distance
-from .sketch import OuterHull
+from .geometry import NumericalError, PointCloud, exact_extreme_points, farthest_distance
+from .sketch import CurvatureSketch, OuterHull, outer_hull, threshold_filter
 
 __all__ = [
     "EmptyOuterHullError",
     "LinearProgramError",
     "UnboundedOuterHullError",
+    "accuracy_curve",
     "inner_error",
     "outer_error",
     "probe_support",
+    "reference_hull",
     "support_under_constraints",
 ]
 
@@ -232,3 +236,56 @@ def outer_error(
         h_true = probe_support(true_extremes, probes)
     h_out = _outer_support(outer, probes, true_extremes.points.mean(axis=0))
     return float(np.max(h_out - h_true, initial=0.0))
+
+
+def reference_hull(cloud: PointCloud, cap: int, seed: int) -> tuple[PointCloud, str]:
+    """The reference hull for inner error, and its tag: the oracle's extreme
+    points of ``cloud`` (``"oracle"``), or above ``cap`` rows those of a
+    ``cap``-row subsample drawn with ``seed`` (``"oracle-subsample"``).
+    The subsample's hull lies inside the cloud's, so inner error against it
+    can read low."""
+    if len(cloud) <= cap:
+        return PointCloud(cloud.points[exact_extreme_points(cloud)]), "oracle"
+    rng = np.random.Generator(np.random.PCG64(seed))
+    sub = cloud.points[np.sort(rng.choice(len(cloud), size=cap, replace=False))]
+    return PointCloud(sub[exact_extreme_points(PointCloud(sub))]), "oracle-subsample"
+
+
+def accuracy_curve(
+    sketch: CurvatureSketch,
+    schedule: list[int],
+    reference: PointCloud,
+    probes: DirectionSet | None,
+    *,
+    alpha: float,
+    mode: str,
+    filter_seed: int,
+) -> list[dict]:
+    """One row of errors per direction count M of the increasing ``schedule``.
+
+    The sketch at M takes the first M directions of ``sketch``, so found
+    sets grow and outer constraint sets are nested, and the error columns are
+    non-increasing sequences rather than statistical trends.  A row's inner
+    error is :func:`inner_error` from ``reference`` to the points
+    :func:`~hullsketch.sketch.threshold_filter` keeps; its outer error is
+    :func:`outer_error` of the sketch's outer hull against the whole cloud
+    along ``probes``.  An empty kept set or an unbounded hull gives ``inf``.
+    """
+    cloud = sketch.cloud
+    h_true = None if probes is None else probe_support(cloud, probes)
+    rows = []
+    for m in schedule:
+        sketch_m = CurvatureSketch(cloud, sketch.dirs.prefix(m), sketch.assignment[:m])
+        inner_m = threshold_filter(sketch_m, alpha, mode, filter_seed)
+        inner_val = math.inf
+        if len(inner_m) > 0:
+            inner_val = inner_error(reference, PointCloud(inner_m.select(cloud)))
+        hull_m = outer_hull(sketch_m, cloud, sketch_m.dirs)
+        try:  # too few directions leave the outer hull open
+            outer_val = outer_error(hull_m, cloud, probes, h_true=h_true)
+        except UnboundedOuterHullError:
+            outer_val = math.inf
+        found = int(np.count_nonzero(sketch_m.counts))
+        rows.append({"n_dirs": m, "n_found": found, "n_kept": len(inner_m),
+                     "inner_error": inner_val, "outer_error": outer_val})
+    return rows

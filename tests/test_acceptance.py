@@ -27,7 +27,7 @@ from hullsketch import (
     threshold_filter,
     vertex_compress,
 )
-from hullsketch.cli import bench_rows, build_parser, main
+from hullsketch.cli import main
 
 from oracles import normal_cone_curvature_3d, polygon_vertex_curvatures
 
@@ -124,15 +124,18 @@ def test_criterion_04_sandwich_invariant_all_families():
     )
 
 
-def _bench(shape: str, transform_path=None) -> list[dict]:
+def _bench(out, shape: str, transform_path=None) -> list[dict]:
     argv = [
-        "bench", "--schedule", "50,100,200,400,700,1000", "--out", "unused.csv",
+        "bench", "--schedule", "50,100,200,400,700,1000", "--out", str(out),
         "--seed", "900", "--shape", shape, "--dims", "3", "--points", "10000",
         "--gen-seed", "901", "--probes", "200",
     ]
     if transform_path is not None:
         argv += ["--transform", transform_path]
-    return bench_rows(build_parser().parse_args(argv))
+    assert main(argv) == 0
+    # %.17g round-trips every double, and loadtxt reads "inf"
+    columns = ("n_dirs", "n_found", "n_kept", "inner_error", "outer_error")
+    return [dict(zip(columns, row)) for row in np.loadtxt(out, delimiter=",", usecols=range(5))]
 
 
 def test_criterion_05_bench_error_curves_non_increasing(tmp_path):
@@ -145,7 +148,7 @@ def test_criterion_05_bench_error_curves_non_increasing(tmp_path):
     ok = True
     details = []
     for shape, tf in (("cube", None), ("sphere", None), ("simplex", str(transform))):
-        rows = _bench(shape, tf)
+        rows = _bench(tmp_path / f"bench_{shape}.csv", shape, tf)
         inner = [r["inner_error"] for r in rows]
         outer = [r["outer_error"] for r in rows]
         mono_inner = all(b <= a + PROJECTION_SLACK for a, b in zip(inner, inner[1:]))

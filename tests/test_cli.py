@@ -11,9 +11,9 @@ from hullsketch import (
     UnboundedOuterHullError,
     exact_extreme_points,
 )
-from hullsketch.cli import CliValidationError, bench_rows, build_parser, main
+from hullsketch.cli import SUBSAMPLE_SEED_OFFSET, CliValidationError, build_parser, main
 from hullsketch.geometry import NumericalError
-from hullsketch.metrics import LinearProgramError
+from hullsketch.metrics import LinearProgramError, reference_hull
 from hullsketch.io import read_matrix, write_matrix
 
 from oracles import monotone_chain_indices
@@ -23,8 +23,17 @@ def run(argv):
     return main(argv)
 
 
-def bench_args(*argv):
-    return build_parser().parse_args(["bench", "--out", "unused.csv", *argv])
+def bench_csv(path, *argv):
+    """Run ``bench`` into ``path`` and read its rows back; ``%.17g`` round-trips every double."""
+    assert run(["bench", "--out", str(path), *argv]) == 0
+    rows = []
+    for line in path.read_text().splitlines()[1:]:
+        n_dirs, n_found, n_kept, inner, outer, method = line.split(",")
+        rows.append({
+            "n_dirs": int(n_dirs), "n_found": int(n_found), "n_kept": int(n_kept),
+            "inner_error": float(inner), "outer_error": float(outer), "method": method,
+        })
+    return rows
 
 
 def gen_simplex(tmp_path, n=200, seed=17, dims=2):
@@ -310,9 +319,10 @@ def test_bench_single_entry_matches_sketch_metrics(tmp_path):
         "--seed", "6", "--out-prefix", str(tmp_path / "sk"),
     ]) == 0
     summary = json.loads((tmp_path / "sk_summary.json").read_text())
-    rows = bench_rows(bench_args(
+    rows = bench_csv(
+        tmp_path / "b.csv",
         "--schedule", "120", "--seed", "6", "--in", str(pts_path), "--oracle-cap", "2000",
-    ))
+    )
     assert len(rows) == 1
     assert rows[0]["n_dirs"] == 120
     assert rows[0]["n_found"] == summary["n_found"]
@@ -322,9 +332,9 @@ def test_bench_single_entry_matches_sketch_metrics(tmp_path):
 def test_bench_nested_prefix_reproduces_standalone_rows(tmp_path):
     pts_path = gen_simplex(tmp_path, n=200, seed=61)
     common = ("--in", str(pts_path), "--seed", "8", "--oracle-cap", "2000")
-    nested = bench_rows(bench_args("--schedule", "40,90,160", *common))
+    nested = bench_csv(tmp_path / "nested.csv", "--schedule", "40,90,160", *common)
     for m, row in zip((40, 90, 160), nested):
-        alone = bench_rows(bench_args("--schedule", str(m), *common))[0]
+        alone = bench_csv(tmp_path / f"alone{m}.csv", "--schedule", str(m), *common)[0]
         assert alone == row
 
 
@@ -509,15 +519,35 @@ def test_convergence_failure_exits_two_without_traceback(tmp_path, capsys, monke
      "argument --schedule: schedule entries must be >= 1"),
     (["bench", "--schedule", "5,x", "--out", "b.csv"],
      "argument --schedule: bad schedule '5,x': invalid literal for int() with base 10: 'x'"),
+    # every derived seed would be negative or not, depending on its offset: refuse them all
+    (["sketch", "--dirs", "5", "--seed", "-1", "--out-prefix", "x"],
+     "argument --seed: seed must be >= 0"),
+    (["compress", "--sketch-json", "s.json", "--seed", "-1", "--out-prefix", "x"],
+     "argument --seed: seed must be >= 0"),
+    (["error", "--inner", "i.csv", "--halfspaces", "h.csv", "--seed", "-7", "--probes", "0",
+      "--out", "r.json"], "argument --seed: seed must be >= 0"),
+    (["bench", "--seed", "-1", "--schedule", "10", "--out", "b.csv"],
+     "argument --seed: seed must be >= 0"),
+    (["bench", "--gen-seed", "-1", "--schedule", "10", "--out", "b.csv"],
+     "argument --gen-seed: gen-seed must be >= 0"),
 ], ids=["sketch-dirs", "sketch-dirs-text", "compress-dirs", "compress-dirs-with-sketch",
         "compress-dirs-range-first", "compress-alpha", "compress-oracle-cap",
         "error-probes", "bench-alpha", "bench-probes", "bench-schedule-empty", "bench-schedule-entry",
-        "bench-schedule-text"])
+        "bench-schedule-text", "sketch-seed", "compress-seed", "error-seed", "bench-seed",
+        "bench-gen-seed"])
 def test_flag_ranges_are_checked_before_any_file_is_read(tmp_path, capsys, argv, message):
     # --in names no file, so a range error that is reported was caught by the parser
     assert run([argv[0], "--in", str(tmp_path / "missing.csv"), *argv[1:]]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert list(tmp_path.iterdir()) == []
+
+
+def test_gen_refuses_a_negative_seed(tmp_path, capsys):
+    out = tmp_path / "pts.csv"
+    assert run(["gen", "--shape", "cube", "--dims", "3", "--points", "10", "--seed", "-1",
+                "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: argument --seed: seed must be >= 0\n"
+    assert not out.exists()
 
 
 def test_bench_rejects_negative_probes_in_the_plane(tmp_path, capsys):
@@ -529,7 +559,8 @@ def test_bench_rejects_negative_probes_in_the_plane(tmp_path, capsys):
     assert "probes must be >= 0" in capsys.readouterr().err
     assert not out.exists()
     with pytest.raises(CliValidationError, match="probes must be >= 0"):
-        bench_args("--in", str(pts_path), "--schedule", "10", "--probes", "-1")
+        build_parser().parse_args(["bench", "--in", str(pts_path), "--schedule", "10",
+                                   "--probes", "-1", "--out", "unused.csv"])
 
 
 def test_bench_keeps_its_curve_past_an_unbounded_row(tmp_path):
@@ -708,16 +739,17 @@ def test_bench_outer_error_equals_error_command(tmp_path, shape, dims, seed, cap
         "--halfspaces", str(tmp_path / "s_halfspaces.csv"), "--probes", "30",
         "--seed", str(seed), "--oracle-cap", cap, "--out", str(out),
     ]) == 0
-    rows = bench_rows(bench_args(
-        "--in", str(pts_path), "--schedule", "200", "--probes", "30",
+    rows = bench_csv(
+        tmp_path / "bench.csv", "--in", str(pts_path), "--schedule", "200", "--probes", "30",
         "--seed", str(seed), "--oracle-cap", cap,
-    ))
+    )
     report = json.loads(out.read_text())
     assert report["reference"] == ("oracle" if cap == "5000" else "oracle-subsample")
     assert rows[0]["method"] == report["outer_method"]
     assert report["outer_method"] == ("exact-2d" if dims == 2 else "support-gap-estimate")
     assert report["n_probes"] == (0 if dims == 2 else 30)  # the plane needs no probes
-    assert rows[0]["reference"] == report["reference"]
+    cloud = PointCloud(read_matrix(pts_path))
+    assert reference_hull(cloud, int(cap), seed + SUBSAMPLE_SEED_OFFSET)[1] == report["reference"]
     assert rows[0]["inner_error"] == report["inner_error"]
     assert rows[0]["outer_error"] == report["outer_error"]
 

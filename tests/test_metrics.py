@@ -10,6 +10,7 @@ from hullsketch import (
     PointCloud,
     UnboundedOuterHullError,
     build_sketch,
+    exact_extreme_points,
     inner_error,
     outer_error,
     outer_hull,
@@ -18,7 +19,13 @@ from hullsketch import (
 )
 from hullsketch import metrics
 from hullsketch.datagen import ShapeSpec, generate
-from hullsketch.metrics import _outer_support, probe_support, support_under_constraints
+from hullsketch.metrics import (
+    _outer_support,
+    accuracy_curve,
+    probe_support,
+    reference_hull,
+    support_under_constraints,
+)
 
 from oracles import grid_min_distance, halfplane_vertices, polygon_distance, support_gap
 
@@ -456,3 +463,43 @@ def test_outer_error_returns_a_float_on_every_path(monkeypatch, path):
     value = outer_error(outer, PointCloud(points), probes)
     assert type(value) is float
     assert (len(centres), len(lp_calls)) == (retries, lps)
+
+
+def test_reference_hull_at_the_cap_boundary():
+    cloud = generate(ShapeSpec(kind="ball", dim=2, count=60, seed=3))
+    ref, tag = reference_hull(cloud, 60, seed=11)
+    assert tag == "oracle"
+    np.testing.assert_array_equal(ref.points, cloud.points[exact_extreme_points(cloud)])
+    # one row over the cap: the extreme rows of the 59-row subsample drawn with the seed
+    ref, tag = reference_hull(cloud, 59, seed=11)
+    rng = np.random.Generator(np.random.PCG64(11))
+    sub = PointCloud(cloud.points[np.sort(rng.choice(60, size=59, replace=False))])
+    assert tag == "oracle-subsample"
+    np.testing.assert_array_equal(ref.points, sub.points[exact_extreme_points(sub)])
+
+
+def test_accuracy_curve_matches_standalone_sketches_in_the_plane():
+    # each row is what the sketch on that many directions gives on its own;
+    # two directions leave the outer hull open, an infinite outer error
+    cloud = generate(ShapeSpec(kind="ball", dim=2, count=400, seed=5))
+    dirs = sample_uniform(120, 2, seed=6)
+    reference, _ = reference_hull(cloud, 400, seed=0)
+    rows = accuracy_curve(build_sketch(cloud, dirs), [2, 30, 120], reference, None,
+                          alpha=0.0, mode="hard", filter_seed=7)
+    assert [r["n_dirs"] for r in rows] == [2, 30, 120]
+    assert rows[0]["outer_error"] == math.inf
+    for row in rows:
+        prefix = dirs.prefix(row["n_dirs"])
+        sketch = build_sketch(cloud, prefix)
+        inner = threshold_filter(sketch, 0.0, "hard", 7)
+        assert row["n_found"] == np.count_nonzero(sketch.counts)
+        assert row["n_kept"] == len(inner)
+        assert row["inner_error"] == inner_error(reference, PointCloud(inner.select(cloud)))
+        if row["n_dirs"] > 2:
+            assert row["outer_error"] == outer_error(outer_hull(sketch, cloud, prefix), cloud)
+    assert rows[2]["inner_error"] <= rows[1]["inner_error"] < rows[0]["inner_error"]
+    assert rows[2]["outer_error"] <= rows[1]["outer_error"]
+    # a threshold that keeps nothing leaves no inner hull: an infinite inner error
+    empty = accuracy_curve(build_sketch(cloud, dirs), [120], reference, None,
+                           alpha=1.0, mode="hard", filter_seed=7)
+    assert empty[0]["n_kept"] == 0 and empty[0]["inner_error"] == math.inf
