@@ -7,15 +7,18 @@ output file that differs.
 Each tree runs ``python -m hullsketch`` with ``PYTHONPATH=<tree>/src``, one
 process per command, in its own directory ``OUT_DIR/base`` or
 ``OUT_DIR/change``.  Paths are relative to that directory, so the ``in``
-paths the summaries record agree.  Each command's exit code and stderr are
-kept as ``<case>.exit`` and ``<case>.stderr`` next to its outputs.  JSON
-keys named in ``MASKED`` are dropped before comparing; every other byte is
-compared.  Exits 1 when any file differs or exists on one side only.
+paths the summaries record agree.  Each command's exit code, stderr and
+stdout are kept as ``<case>.exit``, ``<case>.stderr`` and ``<case>.stdout``
+next to its outputs.  A JSON file that holds a key named in ``MASKED`` is
+compared as parsed values without those keys; every other file, JSON
+included, is compared byte for byte.  Exits 1 when any file differs or
+exists on one side only.
 
 The matrix covers ``gen``, ``sketch --save-sketch``, ``compress
 --sketch-json`` and both ``--hyperplanes`` variants, ``error --probes 0``
 and ``--probes 100``, ``bench`` with an ``inf`` row on both sides of
-``--oracle-cap``, and the documented exit-1 and exit-2 cases, on
+``--oracle-cap``, ``bounds`` to ``--out``, to stdout and ``--sweep``, and
+the documented exit-1 and exit-2 cases, on
 pipeline5d-shaped and desk3d-shaped inputs, a 2-d ball, a 4-d simplex and a
 3-d cube cut through its centroid.
 
@@ -48,6 +51,10 @@ SIZES = {
 }
 
 SHEAR = "1.5,0.4,0.0\n0.0,0.9,0.25\n0.2,0.0,0.7\n"
+
+# every bound the report can hold
+BOUNDS = ["bounds", "--n", "5", "--eps", "0.1", "--p", "0.05", "--x-count", "10000",
+          "--omega", "0.25", "--k", "0.25", "--m", "1000", "--theta", "0.3"]
 
 
 def _write(name: str, text: str):
@@ -129,6 +136,10 @@ def matrix(s: dict) -> list[tuple[str, list[str] | Callable[[Path], None]]]:
         ("error-c3-cut", ["error", *c3, "--inner", "c3s_inner.csv",
                           "--halfspaces", "cut_halfspaces.csv", "--probes", "20",
                           "--sketch-json", "c3s_sketch.json", "--out", "c3r.json"]),
+        # bounds: one report to a file and to stdout, and the sweep's table
+        ("bounds-out", [*BOUNDS, "--out", "bounds.json"]),
+        ("bounds-stdout", BOUNDS),
+        ("bounds-sweep", ["bounds", "--sweep", "--r", "2", "--p", "0.01", "--out", "sweep.csv"]),
         # exit 1: validation
         ("x1-dirs-with-sketch", ["compress", *c3, "--sketch-json", "c3s_sketch.json",
                                  "--dirs", "5", "--out-prefix", "x1a"]),
@@ -159,6 +170,7 @@ def run_side(tree: Path, cwd: Path, steps) -> None:
                               capture_output=True, text=True)
         (cwd / f"{case}.exit").write_text(f"{done.returncode}\n")
         (cwd / f"{case}.stderr").write_text(done.stderr)
+        (cwd / f"{case}.stdout").write_text(done.stdout)
 
 
 def _masked(value):
@@ -169,9 +181,17 @@ def _masked(value):
     return value
 
 
+def _holds_masked(value) -> bool:
+    if isinstance(value, dict):
+        return any(k in MASKED or _holds_masked(v) for k, v in value.items())
+    return isinstance(value, list) and any(_holds_masked(v) for v in value)
+
+
 def _content(path: Path):
     if path.suffix == ".json":
-        return _masked(json.loads(path.read_text()))
+        value = json.loads(path.read_text())
+        if _holds_masked(value):
+            return _masked(value)
     return path.read_bytes()
 
 

@@ -7,14 +7,13 @@ embed the seed, the parameters, and the package version.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 import time
 
 import numpy as np
 
-from . import __version__
+from . import __version__, io
 from .bounds import (
     BoundQuery,
     aleksandrov_bound,
@@ -27,7 +26,6 @@ from .compression import HYPERPLANE_VARIANTS, VERTEX_ORDERS, hyperplane_compress
 from .datagen import SHAPE_KINDS, ShapeSpec, generate
 from .directions import sample_uniform
 from .geometry import NumericalError, PointCloud, exact_extreme_points
-from .io import read_halfspaces, read_matrix, write_halfspaces, write_matrix
 from .metrics import accuracy_curve, inner_error, outer_error, reference_hull
 from .sketch import THRESHOLD_MODES, CurvatureSketch, OuterHull, build_sketch, outer_hull, threshold_filter
 
@@ -50,43 +48,8 @@ class CliValidationError(ValueError):
 # helpers
 
 
-def _load_transform(path: str | None, dims: int):
-    """Affine map file: dims rows, dims+1 columns (linear part | shift)."""
-    if path is None:
-        return None, None
-    data = read_matrix(path)
-    if data.shape == (dims, dims + 1):
-        return data[:, :dims], data[:, dims]
-    if data.shape == (dims, dims):
-        return data, None
-    raise CliValidationError(
-        f"transform file must be ({dims}, {dims}) or ({dims}, {dims + 1}), got {data.shape}"
-    )
-
-
-def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _summary_base(seed: int, params: dict) -> dict:
     return {"seed": seed, "version": __version__, "params": params}
-
-
-def _inner_csv(path: str, coords: np.ndarray, curvatures: np.ndarray) -> None:
-    write_matrix(path, np.hstack([coords, curvatures[:, None]]))
-
-
-def _read_inner_csv(path: str, dim: int) -> np.ndarray:
-    data = read_matrix(path)
-    if data.shape[1] == dim + 1:  # kept points + curvature column
-        return data[:, :dim]
-    if data.shape[1] == dim:
-        return data
-    raise CliValidationError(
-        f"{path}: expected {dim} or {dim + 1} columns, got {data.shape[1]}"
-    )
 
 
 def _probes(args, dim: int):
@@ -108,18 +71,18 @@ def _outer_method(dim: int) -> str:
 
 def _generate(args, seed: int) -> PointCloud:
     """Synthetic cloud from --shape/--dims/--points/--transform."""
-    matrix, shift = _load_transform(args.transform, args.dims)
+    matrix, shift = (None, None) if args.transform is None else io.read_transform(args.transform, args.dims)
     spec = ShapeSpec(args.shape, args.dims, args.points, seed, transform=matrix, shift=shift)
     return generate(spec)
 
 
 def cmd_gen(args) -> None:
-    write_matrix(args.out, _generate(args, args.seed).points)
+    io.write_matrix(args.out, _generate(args, args.seed).points)
 
 
 def cmd_sketch(args) -> None:
     t0 = time.perf_counter()
-    cloud = PointCloud(read_matrix(args.points_path))
+    cloud = PointCloud(io.read_matrix(args.points_path))
     dirs = sample_uniform(args.dirs, cloud.dim, args.seed)
     sketch = build_sketch(cloud, dirs)
     inner = threshold_filter(sketch, args.alpha, args.mode, args.seed + FILTER_SEED_OFFSET)
@@ -127,8 +90,8 @@ def cmd_sketch(args) -> None:
     runtime_ms = 1000.0 * (time.perf_counter() - t0)
 
     n_found = int(np.count_nonzero(sketch.counts))
-    _inner_csv(f"{args.out_prefix}_inner.csv", inner.select(cloud), inner.curvatures)
-    write_halfspaces(f"{args.out_prefix}_halfspaces.csv", outer.normals, outer.offsets)
+    io.write_inner(f"{args.out_prefix}_inner.csv", inner.select(cloud), inner.curvatures)
+    io.write_halfspaces(f"{args.out_prefix}_halfspaces.csv", outer.normals, outer.offsets)
     summary = _summary_base(
         args.seed,
         {"dirs": args.dirs, "alpha": args.alpha, "mode": args.mode, "in": args.points_path},
@@ -148,13 +111,12 @@ def cmd_sketch(args) -> None:
         summary["warning"] = "threshold kept no points (every curvature <= alpha)"
         print(summary["warning"], file=sys.stderr)
     if args.save_sketch:
-        _write_json(f"{args.out_prefix}_sketch.json", sketch.to_dict())
-    _write_json(f"{args.out_prefix}_summary.json", summary)
+        io.write_json(f"{args.out_prefix}_sketch.json", sketch.to_dict())
+    io.write_json(f"{args.out_prefix}_summary.json", summary)
 
 
 def _sketch_from_json(path: str, cloud: PointCloud) -> CurvatureSketch:
-    with open(path) as fh:
-        payload = json.load(fh)
+    payload = io.read_json(path)
     try:
         return CurvatureSketch.from_dict(payload, cloud)
     except ValueError as exc:
@@ -180,7 +142,7 @@ def cmd_compress(args) -> None:
         flags = ", ".join("--" + f.replace("_", "-") for f in unread)
         where = f"--variant {variant}" if args.hyperplanes else "without --hyperplanes"
         raise CliValidationError(f"compress {where} does not read {flags}")
-    cloud = PointCloud(read_matrix(args.points_path))
+    cloud = PointCloud(io.read_matrix(args.points_path))
     if args.sketch_json is not None:
         sketch = _sketch_from_json(args.sketch_json, cloud)
     else:
@@ -210,9 +172,7 @@ def cmd_compress(args) -> None:
             ratios_payload["plane_ratio"] = n_planes_out / true_v
 
     # Every computation that can fail is done: write the outputs.
-    _inner_csv(
-        f"{args.out_prefix}_vertices.csv", compressed.select(cloud), compressed.curvatures
-    )
+    io.write_inner(f"{args.out_prefix}_vertices.csv", compressed.select(cloud), compressed.curvatures)
     cluster_payload = {
         "representatives": clusters.representatives.tolist(),
         "members": {str(k): v.tolist() for k, v in clusters.members.items()},
@@ -220,10 +180,10 @@ def cmd_compress(args) -> None:
         "order": args.order,
     }
     if hull is not None:
-        write_halfspaces(f"{args.out_prefix}_halfspaces.csv", hull.normals, hull.offsets)
+        io.write_halfspaces(f"{args.out_prefix}_halfspaces.csv", hull.normals, hull.offsets)
         cluster_payload["n_halfspaces"] = n_planes_out
-    _write_json(f"{args.out_prefix}_clusters.json", cluster_payload)
-    _write_json(f"{args.out_prefix}_ratios.json", ratios_payload)
+    io.write_json(f"{args.out_prefix}_clusters.json", cluster_payload)
+    io.write_json(f"{args.out_prefix}_ratios.json", ratios_payload)
 
     summary = _summary_base(
         args.seed,
@@ -243,13 +203,13 @@ def cmd_compress(args) -> None:
             "runtime_ms": 1000.0 * (time.perf_counter() - t0),
         }
     )
-    _write_json(f"{args.out_prefix}_summary.json", summary)
+    io.write_json(f"{args.out_prefix}_summary.json", summary)
 
 
 def cmd_error(args) -> None:
-    cloud = PointCloud(read_matrix(args.points_path))
-    kept = _read_inner_csv(args.inner, cloud.dim)
-    normals, offsets = read_halfspaces(args.halfspaces)
+    cloud = PointCloud(io.read_matrix(args.points_path))
+    kept = io.read_inner(args.inner, cloud.dim)
+    normals, offsets = io.read_halfspaces(args.halfspaces)
     if normals.shape[1] != cloud.dim:
         raise CliValidationError("halfspace dimension does not match the points")
     outer = OuterHull(normals=normals, offsets=offsets)
@@ -266,7 +226,7 @@ def cmd_error(args) -> None:
     if args.sketch_json is not None:
         n_found = int(np.count_nonzero(_sketch_from_json(args.sketch_json, cloud).counts))
 
-    _write_json(args.out, {
+    io.write_json(args.out, {
         "inner_error": inner_val,
         "outer_error": outer_val,
         "outer_method": outer_method,
@@ -300,10 +260,7 @@ def cmd_bounds(args) -> None:
                 rows.append(("aleksandrov", n, w, aleksandrov_bound(args.r, n, w)))
         for w in omegas:
             rows.append(("direction-count", 0, w, direction_count_bound(w, args.p)))
-        with open(args.out, "w") as fh:
-            fh.write("# curve,n,omega,value\n")
-            for curve, n, w, v in rows:
-                fh.write(f"{curve},{n},{w:.17g},{v:.17g}\n")
+        io.write_rows(args.out, ("curve", "n", "omega", "value"), rows)
         return
 
     out: dict = {"params": {"n": args.n, "r": args.r, "p": args.p, "eps": args.eps, "x_count": args.x_count}}
@@ -317,12 +274,7 @@ def cmd_bounds(args) -> None:
     query = BoundQuery(n=args.n, r=args.r, p=args.p, eps=args.eps, x_count=args.x_count)
     out["directions_worst_case"] = directions_for_inner_error(query, "worst-case")
     out["directions_single_point"] = directions_for_inner_error(query, "single-point")
-    text = json.dumps(out, indent=2, sort_keys=True)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    io.write_json(args.out or None, out)  # an empty --out prints, as no --out does
 
 
 def cmd_bench(args) -> None:
@@ -330,12 +282,14 @@ def cmd_bench(args) -> None:
     run at M uses the first M directions of the longest run.  Each row's
     errors are the ones ``error`` reports for the sketch at M."""
     if args.points_path is not None:
-        given = [f for f in ("shape", "transform", "gen_seed") if getattr(args, f) is not None]
+        given = [f for f in ("shape", "transform", "gen_seed", "dims", "points") if getattr(args, f) is not None]
         if given:
             flags = ", ".join("--" + f.replace("_", "-") for f in given)
             raise CliValidationError(f"bench --in takes its cloud from the file; drop {flags}")
-        cloud = PointCloud(read_matrix(args.points_path))
-    elif args.shape is not None:
+        cloud = PointCloud(io.read_matrix(args.points_path))
+    elif args.shape is not None:  # --dims and --points parse to None so that --in can refuse them
+        args.dims = 3 if args.dims is None else args.dims
+        args.points = 10000 if args.points is None else args.points
         cloud = _generate(args, args.gen_seed if args.gen_seed is not None else args.seed)
     else:
         raise CliValidationError("bench needs --in or --shape")
@@ -347,13 +301,8 @@ def cmd_bench(args) -> None:
         sketch, args.schedule, reference, _probes(args, cloud.dim),
         alpha=args.alpha, mode=args.mode, filter_seed=args.seed + FILTER_SEED_OFFSET,
     )
-    with open(args.out, "w") as fh:
-        fh.write("# n_dirs,n_found,n_kept,inner_error,outer_error,method\n")
-        for r in rows:
-            fh.write(
-                f"{r['n_dirs']},{r['n_found']},{r['n_kept']},"
-                f"{r['inner_error']:.17g},{r['outer_error']:.17g},{_outer_method(cloud.dim)}\n"
-            )
+    columns, method = ("n_dirs", "n_found", "n_kept", "inner_error", "outer_error"), _outer_method(cloud.dim)
+    io.write_rows(args.out, (*columns, "method"), [[r[c] for c in columns] + [method] for r in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -406,8 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a synthetic point cloud CSV")
     p.add_argument("--shape", required=True, choices=SHAPE_KINDS)
-    p.add_argument("--dims", type=int, required=True)
-    p.add_argument("--points", type=int, required=True)
+    p.add_argument("--dims", type=_ranged(int, "dims", 2), required=True)
+    p.add_argument("--points", type=_ranged(int, "points", 1), required=True)
     p.add_argument("--seed", type=_ranged(int, "seed", 0), default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--transform", default=None, help="CSV with the affine map")
@@ -474,8 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_ranged(int, "seed", 0), default=0)
     p.add_argument("--in", dest="points_path", default=None)
     p.add_argument("--shape", choices=SHAPE_KINDS, default=None)
-    p.add_argument("--dims", type=int, default=3)
-    p.add_argument("--points", type=int, default=10000)
+    p.add_argument("--dims", type=_ranged(int, "dims", 2), default=None)
+    p.add_argument("--points", type=_ranged(int, "points", 1), default=None)
     p.add_argument("--gen-seed", type=_ranged(int, "gen-seed", 0), default=None)
     p.add_argument("--alpha", type=_ranged(float, "alpha", 0, 1), default=0.0)
     p.add_argument("--mode", choices=THRESHOLD_MODES, default=THRESHOLD_MODES[0])

@@ -1,17 +1,26 @@
-"""CSV readers/writers for point matrices and halfspaces.
+"""Every file the CLI reads or writes.
+
+CSV: point matrices; halfspaces (normal columns, then the offset); kept
+points (point columns, then the curvature, which ``read_inner`` also takes
+absent); affine maps (dim rows of dim columns, or dim + 1 with the shift);
+and labelled tables (``write_rows``: a ``# header`` line, then mixed fields).
+JSON: summaries, the sketch, clusters, ratios, error and bound reports.
 
 Grammar: comma-separated decimal floats, optional comment/header lines
-starting with ``#``, LF or CRLF endings.  Values are written with 17
-significant digits so a write/read round trip is bitwise exact.  A path
-ending in ``.gz``, ``.bz2``, ``.xz`` or ``.lzma`` is written and read
-compressed, as ``np.savetxt``/``np.loadtxt`` do.
+starting with ``#``, LF or CRLF endings.  Floats are written at
+``FLOAT_FORMAT``, 17 significant digits, so a write/read round trip is
+bitwise exact.  A path ending in ``.gz``, ``.bz2``, ``.xz`` or ``.lzma`` is
+written and read compressed, as ``np.savetxt``/``np.loadtxt`` do.
 """
 from __future__ import annotations
 
 import bz2
 import gzip
+import json
 import lzma
+import sys
 import warnings
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -109,3 +118,47 @@ def read_halfspaces(path) -> tuple[np.ndarray, np.ndarray]:
     if data.shape[1] < 2:
         raise CsvFormatError(f"{path}: halfspace rows need at least 2 columns")
     return data[:, :-1], data[:, -1]
+
+
+def write_inner(path, points, curvatures) -> None:
+    write_matrix(path, np.hstack([points, curvatures[:, None]]))
+
+
+def read_inner(path, dim: int) -> np.ndarray:
+    """Kept points of a ``dim``-d cloud, with or without the curvature column."""
+    data = read_matrix(path)
+    if data.shape[1] == dim + 1:
+        return data[:, :dim]
+    if data.shape[1] == dim:
+        return data
+    raise CsvFormatError(f"{path}: expected {dim} or {dim + 1} columns, got {data.shape[1]}")
+
+
+def read_transform(path, dim: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """Affine map: (linear part, shift), the shift None for a square file."""
+    data = read_matrix(path)
+    if data.shape == (dim, dim + 1):
+        return data[:, :dim], data[:, dim]
+    if data.shape == (dim, dim):
+        return data, None
+    raise CsvFormatError(f"transform file must be ({dim}, {dim}) or ({dim}, {dim + 1}), got {data.shape}")
+
+
+def write_json(path, payload) -> None:
+    """Indent 2, sorted keys, one final newline; to standard output when ``path`` is None."""
+    with nullcontext(sys.stdout) if path is None else open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def read_json(path):
+    with open(path) as fh:
+        return json.load(fh)
+
+
+def write_rows(path, header, rows) -> None:
+    """A ``# header`` line, then a line per row: floats at ``FLOAT_FORMAT``, others as ``str``."""
+    with open(path, "w") as fh:
+        fh.write(f"# {','.join(header)}\n")
+        for row in rows:
+            fh.write(",".join(FLOAT_FORMAT % v if isinstance(v, float) else str(v) for v in row) + "\n")

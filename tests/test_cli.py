@@ -299,6 +299,7 @@ def test_bench_schedule_must_increase(tmp_path):
     (["--gen-seed", "5"], "--gen-seed"),
     (["--shape", "sphere", "--transform", "shear.csv", "--gen-seed", "5"],
      "--shape, --transform, --gen-seed"),
+    (["--dims", "7", "--points", "5"], "bench --in takes its cloud from the file; drop --dims, --points"),
 ])
 def test_bench_rejects_generator_flags_with_in(tmp_path, capsys, flags, named):
     """The cloud comes from --in, so flags that shape a generated cloud are refused,
@@ -530,11 +531,16 @@ def test_convergence_failure_exits_two_without_traceback(tmp_path, capsys, monke
      "argument --seed: seed must be >= 0"),
     (["bench", "--gen-seed", "-1", "--schedule", "10", "--out", "b.csv"],
      "argument --gen-seed: gen-seed must be >= 0"),
+    # the parser names the flag, where ShapeSpec's message would not
+    (["bench", "--dims", "1", "--schedule", "10", "--out", "b.csv"],
+     "argument --dims: dims must be >= 2"),
+    (["bench", "--points", "0", "--schedule", "10", "--out", "b.csv"],
+     "argument --points: points must be >= 1"),
 ], ids=["sketch-dirs", "sketch-dirs-text", "compress-dirs", "compress-dirs-with-sketch",
         "compress-dirs-range-first", "compress-alpha", "compress-oracle-cap",
         "error-probes", "bench-alpha", "bench-probes", "bench-schedule-empty", "bench-schedule-entry",
         "bench-schedule-text", "sketch-seed", "compress-seed", "error-seed", "bench-seed",
-        "bench-gen-seed"])
+        "bench-gen-seed", "bench-dims", "bench-points"])
 def test_flag_ranges_are_checked_before_any_file_is_read(tmp_path, capsys, argv, message):
     # --in names no file, so a range error that is reported was caught by the parser
     assert run([argv[0], "--in", str(tmp_path / "missing.csv"), *argv[1:]]) == 1
@@ -547,6 +553,19 @@ def test_gen_refuses_a_negative_seed(tmp_path, capsys):
     assert run(["gen", "--shape", "cube", "--dims", "3", "--points", "10", "--seed", "-1",
                 "--out", str(out)]) == 1
     assert capsys.readouterr().err == "error: argument --seed: seed must be >= 0\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--dims", "0", "dims must be >= 2"),
+    ("--points", "0", "points must be >= 1"),
+])
+def test_gen_checks_dims_and_points_in_the_parser(tmp_path, capsys, flag, value, message):
+    out = tmp_path / "pts.csv"
+    # the last --dims or --points given is the one parsed
+    argv = ["gen", "--shape", "cube", "--dims", "3", "--points", "10", "--out", str(out), flag, value]
+    assert run(argv) == 1
+    assert capsys.readouterr().err == f"error: argument {flag}: {message}\n"
     assert not out.exists()
 
 

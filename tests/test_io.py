@@ -1,6 +1,7 @@
 import bz2
 import gzip
 import lzma
+import math
 
 import numpy as np
 import pytest
@@ -13,7 +14,9 @@ from hullsketch.io import (
     read_halfspaces,
     read_matrix,
     write_halfspaces,
+    write_json,
     write_matrix,
+    write_rows,
 )
 
 
@@ -138,3 +141,41 @@ def test_halfspace_column_layout(tmp_path):
 def test_halfspace_row_mismatch(tmp_path):
     with pytest.raises(ValueError):
         write_halfspaces(tmp_path / "x.csv", np.eye(2), np.ones(3))
+
+
+def test_write_rows_formats_as_the_17g_f_strings(tmp_path):
+    rows = [("aleksandrov", 3, np.float64(0.1) * 3, 1 / 3), (7, 12, 0.5, math.inf)]
+    path = tmp_path / "rows.csv"
+    write_rows(path, ("curve", "n", "omega", "value"), rows)
+    want = "# curve,n,omega,value\n" + "".join(
+        f"{a},{b},{c:.17g},{d:.17g}\n" for a, b, c, d in rows
+    )
+    assert path.read_text() == want
+    assert want.splitlines()[1:] == [
+        "aleksandrov,3,0.30000000000000004,0.33333333333333331", "7,12,0.5,inf",
+    ]
+
+
+PAYLOAD = {"b": [1, 2.5], "a": {"y": None, "x": "s"}}
+PAYLOAD_TEXT = """{
+  "a": {
+    "x": "s",
+    "y": null
+  },
+  "b": [
+    1,
+    2.5
+  ]
+}
+"""
+
+
+def test_write_json_to_a_path(tmp_path):
+    path = tmp_path / "p.json"
+    write_json(path, PAYLOAD)
+    assert path.read_text() == PAYLOAD_TEXT
+
+
+def test_write_json_to_stdout(capsys):
+    write_json(None, PAYLOAD)
+    assert capsys.readouterr().out == PAYLOAD_TEXT

@@ -21,3 +21,6 @@ def test_same_tree_gives_an_empty_diff(tmp_path):
     assert (base / "x1-missing-file.exit").read_text() == "1\n"
     assert (base / "x2-unbounded.exit").read_text() == "2\n"
     assert (base / "bench_cube.csv").read_text().splitlines()[1].split(",")[4] == "inf"
+    # bounds without --out prints the report it writes with --out
+    assert (base / "bounds-stdout.stdout").read_text() == (base / "bounds.json").read_text()
+    assert '"cap_lower_bound"' in (base / "bounds.json").read_text()
