@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Run one fixed matrix of CLI commands on two source trees and list every
+"""Run one fixed matrix of 33 CLI commands on two source trees and list every
 output file that differs.
 
     python scripts/same_bytes.py BASE_TREE CHANGE_TREE OUT_DIR [--size toy]
@@ -15,7 +15,8 @@ included, is compared byte for byte.  Exits 1 when any file differs or
 exists on one side only.
 
 The matrix covers ``gen``, ``sketch --save-sketch``, ``compress
---sketch-json`` and both ``--hyperplanes`` variants, ``error --probes 0``
+--sketch-json`` and both ``--hyperplanes`` variants (the recursive one also
+with ``--inner-beta 0.1 --order paper-increasing``), ``error --probes 0``
 and ``--probes 100``, ``bench`` with an ``inf`` row on both sides of
 ``--oracle-cap``, ``bounds`` to ``--out``, to stdout and ``--sweep``, and
 the documented exit-1 and exit-2 cases, on
@@ -92,7 +93,9 @@ def matrix(s: dict) -> list[tuple[str, list[str] | Callable[[Path], None]]]:
         ("error-p5", ["error", *p5, "--inner", "p5c_vertices.csv",
                       "--halfspaces", "p5s_halfspaces.csv", "--probes", "0",
                       "--oracle-cap", str(s["cap"]), "--seed", "12", "--out", "p5r.json"]),
-        # desk3d-shaped: both hyperplane variants, error --probes 100, a bench with an inf row
+        # desk3d-shaped: both hyperplane variants, the recursive one also with a nested
+        # vertex compression walked lowest curvature first, error --probes 100, a bench
+        # with an inf row
         ("gen-d3", ["gen", "--shape", "simplex", "--dims", "3", "--points", str(s["d3"]),
                     "--seed", "21", "--transform", "shear.csv", "--out", "d3.csv"]),
         ("compress-d3", ["compress", *d3, "--hyperplanes", "--dirs", str(s["d3_dirs"]),
@@ -101,6 +104,9 @@ def matrix(s: dict) -> list[tuple[str, list[str] | Callable[[Path], None]]]:
                                "gamma-threshold", "--gamma", "0.05", "--dirs",
                                str(s["d3_dirs"]), "--beta", "0.05", "--seed", "22",
                                "--out-prefix", "d3g"]),
+        ("compress-d3-nested", ["compress", *d3, "--hyperplanes", "--inner-beta", "0.1",
+                                "--order", "paper-increasing", "--dirs", str(s["d3_dirs"]),
+                                "--beta", "0.05", "--seed", "22", "--out-prefix", "d3n"]),
         ("error-d3", ["error", *d3, "--inner", "d3h_vertices.csv",
                       "--halfspaces", "d3h_halfspaces.csv", "--probes", "100",
                       "--seed", "22", "--out", "d3r.json"]),
@@ -143,6 +149,8 @@ def matrix(s: dict) -> list[tuple[str, list[str] | Callable[[Path], None]]]:
         # exit 1: validation
         ("x1-dirs-with-sketch", ["compress", *c3, "--sketch-json", "c3s_sketch.json",
                                  "--dirs", "5", "--out-prefix", "x1a"]),
+        ("x1-other-cloud-sketch", ["compress", *d3, "--sketch-json", "c3s_sketch.json",
+                                   "--out-prefix", "x1f"]),
         ("x1-unread-flag", ["compress", *c3, "--gamma", "0.1", "--out-prefix", "x1b"]),
         ("x1-in-with-shape", ["bench", *c3, "--shape", "cube", "--schedule", "10",
                               "--out", "x1c.csv"]),

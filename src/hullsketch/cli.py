@@ -116,9 +116,8 @@ def cmd_sketch(args) -> None:
 
 
 def _sketch_from_json(path: str, cloud: PointCloud) -> CurvatureSketch:
-    payload = io.read_json(path)
     try:
-        return CurvatureSketch.from_dict(payload, cloud)
+        return CurvatureSketch.from_dict(io.read_json(path), cloud)
     except ValueError as exc:
         raise CliValidationError(f"{path}: {exc}") from None
 
@@ -213,6 +212,9 @@ def cmd_error(args) -> None:
     if normals.shape[1] != cloud.dim:
         raise CliValidationError("halfspace dimension does not match the points")
     outer = OuterHull(normals=normals, offsets=offsets)
+    n_found = -1
+    if args.sketch_json is not None:
+        n_found = int(np.count_nonzero(_sketch_from_json(args.sketch_json, cloud).counts))
 
     reference, reference_tag = reference_hull(cloud, args.oracle_cap, args.seed + SUBSAMPLE_SEED_OFFSET)
     inner_val = inner_error(reference, PointCloud(kept))
@@ -221,10 +223,6 @@ def cmd_error(args) -> None:
     if args.probes > 0 or cloud.dim == 2:
         outer_val = outer_error(outer, cloud, _probes(args, cloud.dim))
         outer_method = _outer_method(cloud.dim)
-
-    n_found = -1
-    if args.sketch_json is not None:
-        n_found = int(np.count_nonzero(_sketch_from_json(args.sketch_json, cloud).counts))
 
     io.write_json(args.out, {
         "inner_error": inner_val,

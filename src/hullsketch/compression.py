@@ -95,32 +95,18 @@ def vertex_compress(
     else:
         walk = np.lexsort((kept, curv))
     coords = cloud.points[kept]
-
-    absorbed = np.zeros(len(kept), dtype=bool)
-    reps: list[int] = []
-    members: dict[int, np.ndarray] = {}
+    # Each point's representative as a position in ``kept``; -1 while the point is free.
+    owner = np.full(len(kept), -1, dtype=np.int64)
     for pos in walk:
-        if absorbed[pos]:
-            continue
-        here = coords[pos]
-        remaining = ~absorbed
-        remaining[pos] = False  # the current point absorbs others, never itself
-        close = remaining & (
-            np.linalg.norm(coords - here, axis=1) < beta
-        )
-        absorbed |= close
-        rep_idx = int(kept[pos])
-        cluster = np.sort(np.concatenate([[rep_idx], kept[close]]))
-        reps.append(rep_idx)
-        members[rep_idx] = cluster
-        absorbed[pos] = True  # processed; marked after the scan
+        if owner[pos] < 0:
+            owner[(owner < 0) & (np.linalg.norm(coords - coords[pos], axis=1) < beta)] = pos
+            owner[pos] = pos
 
-    rep_arr = np.array(reps, dtype=np.int64)
-    keep_sorted = np.sort(rep_arr)
-    pos_of = {int(k): i for i, k in enumerate(kept)}
-    new_curv = np.array([curv[pos_of[int(k)]] for k in keep_sorted])
-    compressed = InnerHull(kept_indices=keep_sorted, curvatures=new_curv)
-    return compressed, ClusterMap(representatives=rep_arr, members=members)
+    reps = walk[owner[walk] == walk]
+    by_index = reps[np.argsort(kept[reps])]
+    members = {int(kept[p]): np.sort(kept[owner == p]) for p in reps}
+    compressed = InnerHull(kept_indices=kept[by_index], curvatures=curv[by_index])
+    return compressed, ClusterMap(representatives=kept[reps], members=members)
 
 
 def direction_bundle(sketch: CurvatureSketch, cluster_map: ClusterMap) -> dict[int, np.ndarray]:
@@ -213,34 +199,18 @@ def hyperplane_compress(
     cloud, dirs = sketch.cloud, sketch.dirs
 
     if variant == "recursive":
-        bundle = direction_bundle(sketch, cluster_map)
-        groups: list[np.ndarray] = []
-        weights: list[int] = []
-        inner_set = None
-        for rep in cluster_map.representatives:
-            f_v = bundle[int(rep)]
-            if f_v.size == 0:
-                continue
-            if inner_alpha == 0.0 and inner_beta == 0.0:
-                survivors = f_v
-            else:
+        inner_set = sample_uniform(INNER_DIRS, cloud.dim, seed) if inner_alpha or inner_beta else None
+        groups = [np.array([], dtype=np.int64)]  # keeps concatenate defined without bundles
+        # Heaviest bundle first; the sort is stable, so ties keep the walk order.
+        for f_v in sorted(direction_bundle(sketch, cluster_map).values(), key=len, reverse=True):
+            if inner_set is not None and f_v.size:
                 sub_cloud = PointCloud(dirs.directions[f_v])
-                if inner_set is None:
-                    inner_set = sample_uniform(INNER_DIRS, cloud.dim, seed)
-                sub_sketch = build_sketch(sub_cloud, inner_set)
-                sub_inner = threshold_filter(sub_sketch, inner_alpha, "hard")
-                if len(sub_inner) == 0:
-                    continue
+                sub_inner = threshold_filter(build_sketch(sub_cloud, inner_set), inner_alpha, "hard")
                 if inner_beta > 0.0:
                     sub_inner, _ = vertex_compress(sub_inner, sub_cloud, inner_beta)
-                survivors = f_v[sub_inner.kept_indices]
-            groups.append(survivors)
-            weights.append(int(f_v.size))
-        if groups:
-            by_weight = np.argsort(-np.asarray(weights), kind="stable")
-            surviving = np.concatenate([groups[i] for i in by_weight])
-        else:
-            surviving = np.array([], dtype=np.int64)
+                f_v = f_v[sub_inner.kept_indices]
+            groups.append(f_v)
+        surviving = np.concatenate(groups)
     else:
         if gamma is None or not 0.0 < gamma < np.inf:
             raise ValueError("gamma-threshold variant needs a finite positive gamma")

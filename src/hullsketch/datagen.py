@@ -10,8 +10,6 @@ from .geometry import PointCloud
 
 __all__ = ["ShapeSpec", "generate", "SHAPE_KINDS"]
 
-SHAPE_KINDS = ("simplex", "cube", "ball", "sphere", "cone-cap")
-
 # Apex of the cone-cap body sits this far below the hemisphere centre.  Any
 # distance > 1 gives the intended mix of one sharp vertex plus a smooth cap.
 CONE_APEX_DISTANCE = 2.0
@@ -63,6 +61,10 @@ def _unit_rows(rng, count: int, dim: int) -> np.ndarray:
     return raw / norms[:, None]
 
 
+def _cube(rng, count: int, dim: int) -> np.ndarray:
+    return rng.random((count, dim))
+
+
 def _ball(rng, count: int, dim: int) -> np.ndarray:
     dirs = _unit_rows(rng, count, dim)
     radii = rng.random(count) ** (1.0 / dim)
@@ -110,21 +112,21 @@ def _cone_cap(rng, count: int, dim: int) -> np.ndarray:
     return np.vstack([apex[None, :], pts])
 
 
+# Each kind's generator, called as (rng, count, dim); in the order messages list them.
+_GENERATORS = {
+    "simplex": _simplex,
+    "cube": _cube,
+    "ball": _ball,
+    "sphere": _unit_rows,
+    "cone-cap": _cone_cap,
+}
+SHAPE_KINDS = tuple(_GENERATORS)
+
+
 def generate(spec: ShapeSpec) -> PointCloud:
     """Generate the point cloud described by ``spec`` (deterministic per seed)."""
     rng = np.random.Generator(np.random.PCG64(int(spec.seed)))
-    if spec.kind == "simplex":
-        pts = _simplex(rng, spec.count, spec.dim)
-    elif spec.kind == "cube":
-        pts = rng.random((spec.count, spec.dim))
-    elif spec.kind == "ball":
-        pts = _ball(rng, spec.count, spec.dim)
-    elif spec.kind == "sphere":
-        pts = _unit_rows(rng, spec.count, spec.dim)
-    elif spec.kind == "cone-cap":
-        pts = _cone_cap(rng, spec.count, spec.dim)
-    else:  # pragma: no cover - guarded by ShapeSpec
-        raise ValueError(spec.kind)
+    pts = _GENERATORS[spec.kind](rng, spec.count, spec.dim)
     if spec.transform is not None:
         pts = pts @ spec.transform.T
     if spec.shift is not None:

@@ -141,7 +141,8 @@ def read_transform(path, dim: int) -> tuple[np.ndarray, np.ndarray | None]:
         return data[:, :dim], data[:, dim]
     if data.shape == (dim, dim):
         return data, None
-    raise CsvFormatError(f"transform file must be ({dim}, {dim}) or ({dim}, {dim + 1}), got {data.shape}")
+    shapes = f"({dim}, {dim}) or ({dim}, {dim + 1})"
+    raise CsvFormatError(f"{path}: transform file must be {shapes}, got {data.shape}")
 
 
 def write_json(path, payload) -> None:

@@ -245,3 +245,36 @@ def grid_min_distance(x: np.ndarray, triangle: np.ndarray, steps: int = 400) -> 
             p = w0 * v[0] + w1 * v[1] + w2 * v[2]
             best = min(best, float(np.linalg.norm(p - x)))
     return best
+
+
+def greedy_radius_clusters(points, kept, curvatures, beta, order="decreasing"):
+    """Vertex compression by the plain greedy loop, with a flag per absorbed point.
+
+    Walks ``kept`` by curvature (highest first for "decreasing", lowest
+    first otherwise; ties by index); each point not yet absorbed becomes a
+    representative and absorbs every other free point strictly closer than
+    ``beta``.  Returns the representatives in walk order, their sorted
+    member lists, and the representatives' (index, curvature) pairs in
+    index order.
+    """
+    pts = np.asarray(points, dtype=float)
+    sign = -1.0 if order == "decreasing" else 1.0
+    walk = sorted(range(len(kept)), key=lambda i: (sign * curvatures[i], kept[i]))
+    absorbed = [False] * len(kept)
+    reps, members = [], {}
+    for pos in walk:
+        if absorbed[pos]:
+            continue
+        absorbed[pos] = True
+        cluster = [int(kept[pos])]
+        here = pts[kept[pos]]
+        for other in range(len(kept)):
+            if absorbed[other]:
+                continue
+            if math.sqrt(sum(float(d) * float(d) for d in pts[kept[other]] - here)) < beta:
+                absorbed[other] = True
+                cluster.append(int(kept[other]))
+        reps.append(int(kept[pos]))
+        members[int(kept[pos])] = sorted(cluster)
+    curv_of = {int(k): float(c) for k, c in zip(kept, curvatures)}
+    return reps, members, [(k, curv_of[k]) for k in sorted(reps)]

@@ -883,7 +883,12 @@ def test_bounds_writes_its_json_to_out(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv, message", [
     (["gen", "--shape", "cube", "--dims", "3", "--points", "10", "--transform", "{short_map}",
-      "--out", "{dir}/g.csv"], "transform file must be (3, 3) or (3, 4), got (2, 4)"),
+      "--out", "{dir}/g.csv"], "{short_map}: transform file must be (3, 3) or (3, 4), got (2, 4)"),
+    (["compress", "--in", "{pts}", "--sketch-json", "{not_json}", "--out-prefix", "{dir}/c"],
+     "{not_json}: Expecting value: line 1 column 1 (char 0)"),
+    (["error", "--in", "{pts}", "--inner", "{inner}", "--halfspaces", "{box}", "--probes", "5",
+      "--sketch-json", "{not_json}", "--out", "{dir}/r.json"],
+     "{not_json}: Expecting value: line 1 column 1 (char 0)"),
     (["error", "--in", "{pts}", "--inner", "{wide}", "--halfspaces", "{box}", "--probes", "5",
       "--out", "{dir}/r.json"], "{wide}: expected 3 or 4 columns, got 5"),
     (["error", "--in", "{pts}", "--inner", "{inner}", "--halfspaces", "{square}", "--probes", "5",
@@ -892,8 +897,9 @@ def test_bounds_writes_its_json_to_out(tmp_path, capsys):
     (["bench", "--schedule", "10", "--out", "{dir}/b.csv"], "bench needs --in or --shape"),
     (["bench", "--in", "{pts}", "--schedule", "10", "--probes", "0", "--out", "{dir}/b.csv"],
      "bench needs probes >= 1 in dimension >= 3"),
-], ids=["gen-transform-shape", "error-inner-columns", "error-halfspace-dim", "bounds-sweep-no-out",
-        "bench-no-cloud", "bench-3d-no-probes"])
+], ids=["gen-transform-shape", "compress-sketch-not-json", "error-sketch-not-json",
+        "error-inner-columns", "error-halfspace-dim", "bounds-sweep-no-out", "bench-no-cloud",
+        "bench-3d-no-probes"])
 def test_malformed_input_exits_one_with_one_line_and_no_file(tmp_path, capsys, argv, message):
     files = {
         "short_map": np.ones((2, 4)),
@@ -906,7 +912,26 @@ def test_malformed_input_exits_one_with_one_line_and_no_file(tmp_path, capsys, a
     for name, data in files.items():
         write_matrix(paths[name], data)
     paths["pts"] = str(gen_simplex(tmp_path, n=40, seed=88, dims=3))
+    paths["not_json"] = str(tmp_path / "not_json.json")
+    (tmp_path / "not_json.json").write_text("not json\n")
     before = sorted(tmp_path.iterdir())
     assert run([a.format(dir=tmp_path, **paths) for a in argv]) == 1
     assert capsys.readouterr().err == f"error: {message.format(**paths)}\n"
     assert sorted(tmp_path.iterdir()) == before
+
+
+def test_error_reads_the_sketch_before_the_oracle(tmp_path, capsys, monkeypatch):
+    def no_oracle(*args):
+        raise AssertionError("the reference hull was computed before the sketch was read")
+
+    monkeypatch.setattr("hullsketch.cli.reference_hull", no_oracle)
+    pts = gen_simplex(tmp_path, n=40, seed=88, dims=3)
+    run(["sketch", "--in", str(pts), "--dirs", "50", "--out-prefix", str(tmp_path / "s")])
+    bad = tmp_path / "bad.json"
+    bad.write_text("not json\n")
+    assert run([
+        "error", "--in", str(pts), "--inner", str(tmp_path / "s_inner.csv"),
+        "--halfspaces", str(tmp_path / "s_halfspaces.csv"), "--sketch-json", str(bad),
+        "--out", str(tmp_path / "r.json"),
+    ]) == 1
+    assert capsys.readouterr().err == f"error: {bad}: Expecting value: line 1 column 1 (char 0)\n"

@@ -5,12 +5,17 @@ import numpy as np
 import pytest
 
 from hullsketch import compression
+from hullsketch.datagen import SHAPE_KINDS
 from hullsketch import (
     CurvatureSketch,
+    DirectionSet,
+    InnerHull,
     NoConstraintsSurvivedError,
     PointCloud,
+    ShapeSpec,
     build_sketch,
     direction_bundle,
+    generate,
     hausdorff,
     hyperplane_compress,
     sample_uniform,
@@ -18,7 +23,7 @@ from hullsketch import (
     vertex_compress,
 )
 
-from oracles import satisfies
+from oracles import greedy_radius_clusters, satisfies
 
 
 def crafted(points, counts, n_dirs, seed=0):
@@ -98,6 +103,32 @@ def test_hausdorff_under_beta_randomized():
         before = PointCloud(inner.select(cloud))
         after = PointCloud(comp.select(cloud))
         assert hausdorff(before, after) < beta
+
+
+@pytest.mark.parametrize("order", compression.VERTEX_ORDERS)
+@pytest.mark.parametrize("beta", [0.0, 0.05, 0.3])
+@pytest.mark.parametrize("kind", SHAPE_KINDS)
+def test_vertex_compress_matches_the_greedy_reference(kind, beta, order):
+    for dim, seed in ((2, 31), (3, 32)):
+        cloud = generate(ShapeSpec(kind=kind, dim=dim, count=300, seed=seed))
+        inner = threshold_filter(build_sketch(cloud, sample_uniform(200, dim, seed)), 0.0)
+        comp, cm = vertex_compress(inner, cloud, beta, order)
+        reps, members, kept = greedy_radius_clusters(
+            cloud.points, inner.kept_indices, inner.curvatures, beta, order
+        )
+        assert cm.representatives.tolist() == reps
+        assert {rep: m.tolist() for rep, m in cm.members.items()} == members
+        assert list(zip(comp.kept_indices.tolist(), comp.curvatures.tolist())) == kept
+
+
+def test_vertex_compress_absorbs_only_points_strictly_closer_than_beta():
+    # exact distances: duplicate rows stay apart at beta = 0, and so does a point beta away
+    cloud = PointCloud([[0.0, 0.0], [0.0, 0.0], [0.25, 0.0], [0.5, 0.0]])
+    inner = InnerHull(kept_indices=[0, 1, 2, 3], curvatures=[0.4, 0.3, 0.2, 0.1])
+    for beta, want in ((0.0, [[0], [1], [2], [3]]), (0.25, [[0, 1], [2], [3]]),
+                       (0.2500001, [[0, 1, 2], [3]])):
+        _, cm = vertex_compress(inner, cloud, beta)
+        assert [cm.members[rep].tolist() for rep in cm.representatives] == want
 
 
 def test_direction_bundle_partitions_won_directions():
@@ -199,6 +230,19 @@ def test_angular_components_match_the_dense_gram_in_bounded_memory(dim):
     want = sorted((np.flatnonzero(labels == c) for c in range(n)), key=lambda c: c[0])
     assert len(got) == n
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("walk, expect", [([0, 1, 2], [2, 3, 4, 0, 1, 5, 6]),
+                                          ([2, 1, 0], [2, 3, 4, 5, 6, 0, 1])])
+def test_recursive_bundles_go_heaviest_first_and_ties_keep_the_walk_order(walk, expect):
+    # Point p wins the directions of bundle p: sizes 2, 3 and 2.
+    angles = np.arange(7) * (2 * math.pi / 7)
+    dirs = DirectionSet(np.column_stack([np.cos(angles), np.sin(angles)]), seed=0)
+    cloud = PointCloud([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    sketch = CurvatureSketch(cloud=cloud, dirs=dirs, assignment=[0, 0, 1, 1, 1, 2, 2])
+    cm = compression.ClusterMap(representatives=walk, members={p: [p] for p in walk})
+    hull = hyperplane_compress(sketch, cm, inner_alpha=0.0, inner_beta=0.0, merge_angle=1e-9)
+    np.testing.assert_allclose(hull.normals, dirs.directions[expect], rtol=0, atol=1e-15)
 
 
 def test_merge_angle_monotonicity():

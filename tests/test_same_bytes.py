@@ -19,6 +19,9 @@ def test_same_tree_gives_an_empty_diff(tmp_path):
     # the matrix reached its exit-1 and exit-2 cases
     base = tmp_path / "out" / "base"
     assert (base / "x1-missing-file.exit").read_text() == "1\n"
+    assert (base / "x1-other-cloud-sketch.exit").read_text() == "1\n"
+    # the nested vertex compression ran
+    assert (base / "compress-d3-nested.exit").read_text() == "0\n"
     assert (base / "x2-unbounded.exit").read_text() == "2\n"
     assert (base / "bench_cube.csv").read_text().splitlines()[1].split(",")[4] == "inf"
     # bounds without --out prints the report it writes with --out
