@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Run one fixed matrix of 33 CLI commands on two source trees and list every
+"""Run one fixed matrix of 34 CLI commands on two source trees and list every
 output file that differs.
 
     python scripts/same_bytes.py BASE_TREE CHANGE_TREE OUT_DIR [--size toy]
@@ -18,8 +18,8 @@ The matrix covers ``gen``, ``sketch --save-sketch``, ``compress
 --sketch-json`` and both ``--hyperplanes`` variants (the recursive one also
 with ``--inner-beta 0.1 --order paper-increasing``), ``error --probes 0``
 and ``--probes 100``, ``bench`` with an ``inf`` row on both sides of
-``--oracle-cap``, ``bounds`` to ``--out``, to stdout and ``--sweep``, and
-the documented exit-1 and exit-2 cases, on
+``--oracle-cap`` and once without ``--gen-seed``, ``bounds`` to ``--out``,
+to stdout and ``--sweep``, and the documented exit-1 and exit-2 cases, on
 pipeline5d-shaped and desk3d-shaped inputs, a 2-d ball, a 4-d simplex and a
 3-d cube cut through its centroid.
 
@@ -113,6 +113,10 @@ def matrix(s: dict) -> list[tuple[str, list[str] | Callable[[Path], None]]]:
         ("bench-cube", ["bench", "--shape", "cube", "--dims", "3", "--points", str(s["cube"]),
                         "--schedule", "3,50,200,400", "--seed", "23", "--gen-seed", "24",
                         "--ref-dirs", "1600", "--probes", "25", "--out", "bench_cube.csv"]),
+        # without --gen-seed the cloud and the directions share --seed's stream
+        ("bench-cube-default-gen", ["bench", "--shape", "cube", "--dims", "3", "--points",
+                                    str(s["cube"]), "--schedule", "3,50,200", "--seed", "25",
+                                    "--probes", "25", "--out", "bench_cube_default.csv"]),
         # 2-d ball: an exact outer error, and a bench above the oracle cap
         ("gen-b2", ["gen", "--shape", "ball", "--dims", "2", "--points", str(s["ball"]),
                     "--seed", "31", "--out", "b2.csv"]),

@@ -149,8 +149,6 @@ def directions_for_inner_error(q: BoundQuery, variant: str = "worst-case") -> in
     )
     if log_c >= 0.0:
         return 1
-    if log_c + math.log(p) >= 0.0:
-        return 1
     c = math.exp(log_c)
     raw = (log_c + math.log(p)) / math.log1p(-c)
     return max(1, math.ceil(raw))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .directions import DirectionSet, sample_uniform
-from .geometry import NumericalError, PointCloud
+from .geometry import NumericalError, PointCloud, frozen
 from .sketch import (
     CurvatureSketch,
     InnerHull,
@@ -56,15 +56,9 @@ class ClusterMap:
     members: dict[int, np.ndarray]
 
     def __post_init__(self):
-        reps = np.asarray(self.representatives, dtype=np.int64).copy()
-        reps.setflags(write=False)
-        object.__setattr__(self, "representatives", reps)
-        frozen = {}
-        for rep, mem in self.members.items():
-            arr = np.asarray(mem, dtype=np.int64).copy()
-            arr.setflags(write=False)
-            frozen[int(rep)] = arr
-        object.__setattr__(self, "members", frozen)
+        object.__setattr__(self, "representatives", frozen(self.representatives, np.int64))
+        members = {int(rep): frozen(mem, np.int64) for rep, mem in self.members.items()}
+        object.__setattr__(self, "members", members)
 
 
 def vertex_compress(
@@ -99,7 +93,8 @@ def vertex_compress(
     owner = np.full(len(kept), -1, dtype=np.int64)
     for pos in walk:
         if owner[pos] < 0:
-            owner[(owner < 0) & (np.linalg.norm(coords - coords[pos], axis=1) < beta)] = pos
+            free = np.flatnonzero(owner < 0)
+            owner[free[np.linalg.norm(coords[free] - coords[pos], axis=1) < beta]] = pos
             owner[pos] = pos
 
     reps = walk[owner[walk] == walk]

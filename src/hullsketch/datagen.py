@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import PointCloud
+from .geometry import PointCloud, frozen
 
 __all__ = ["ShapeSpec", "generate", "SHAPE_KINDS"]
 
@@ -34,19 +34,17 @@ class ShapeSpec:
         if self.count < 1:
             raise ValueError("count must be >= 1")
         if self.transform is not None:
-            mat = np.array(self.transform, dtype=np.float64, copy=True)
+            mat = frozen(self.transform, np.float64)
             if mat.shape != (self.dim, self.dim):
                 raise ValueError("transform must be a (dim, dim) matrix")
             # a rank test is scale-free; a determinant threshold rejects 1e-6 * I in 3-d
             if not np.all(np.isfinite(mat)) or np.linalg.matrix_rank(mat) < self.dim:
                 raise ValueError("transform must be finite and nonsingular")
-            mat.setflags(write=False)
             object.__setattr__(self, "transform", mat)
         if self.shift is not None:
-            vec = np.array(self.shift, dtype=np.float64, copy=True)
+            vec = frozen(self.shift, np.float64)
             if vec.shape != (self.dim,):
                 raise ValueError("shift must be a (dim,) vector")
-            vec.setflags(write=False)
             object.__setattr__(self, "shift", vec)
 
 

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import frozen
+
 __all__ = ["DirectionSet", "sample_uniform"]
 
 GAUSSIAN_UNIFORM = "gaussian-uniform"
@@ -32,7 +34,7 @@ class DirectionSet:
     seed: int
 
     def __post_init__(self):
-        arr = np.array(self.directions, dtype=np.float64, copy=True)
+        arr = frozen(self.directions, np.float64)
         if arr.ndim != 2 or arr.shape[0] < 1:
             raise ValueError("directions must be a nonempty (M, dim) array")
         if not np.all(np.isfinite(arr)):
@@ -40,7 +42,6 @@ class DirectionSet:
         norms = np.linalg.norm(arr, axis=1)
         if np.any(np.abs(norms - 1.0) > 1e-12):
             raise ValueError("every direction must be unit length (within 1e-12)")
-        arr.setflags(write=False)
         object.__setattr__(self, "directions", arr)
         object.__setattr__(self, "seed", int(self.seed))
 

@@ -16,9 +16,9 @@ caller of Qhull, so only a run that asks the oracle for extreme points
 pays for it.  Keep any new scipy import function-local for the same
 reason.
 
-All container types are immutable after construction (arrays are marked
-read-only), so they can be shared freely across threads.  Every operation
-here is a pure function of its inputs.
+Every container type holds its arrays as read-only copies made by
+:func:`frozen`, so it is immutable and can be shared freely across
+threads.  Every operation here is a pure function of its inputs.
 """
 from __future__ import annotations
 
@@ -47,6 +47,13 @@ DEFAULT_TOL = 1e-9
 _QHULL_MAX_DIM = 5
 
 
+def frozen(value, dtype) -> np.ndarray:
+    """A read-only copy of ``value`` as an array of ``dtype``."""
+    arr = np.array(value, dtype=dtype)
+    arr.setflags(write=False)
+    return arr
+
+
 def _check_vector(d, dim: int) -> np.ndarray:
     d = np.asarray(d, dtype=np.float64)
     if d.shape != (dim,):
@@ -64,12 +71,11 @@ class PointCloud:
     points: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.points, dtype=np.float64, copy=True)
+        arr = frozen(self.points, np.float64)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError(f"points must be a nonempty 2-d array, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("points must contain only finite values")
-        arr.setflags(write=False)
         object.__setattr__(self, "points", arr)
 
     @property
@@ -214,11 +220,10 @@ def project_onto_hull(x, hull: PointCloud, max_iter: int | None = None) -> Proje
 
     weights = np.zeros(n_vert)
     weights[np.asarray(corral)] = lam
-    point = y + x
     return ProjectionResult(
-        point=point,
+        point=frozen(y + x, np.float64),
         distance=float(np.linalg.norm(y)),
-        weights=weights,
+        weights=frozen(weights, np.float64),
         iterations=iterations,
     )
 

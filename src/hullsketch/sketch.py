@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .directions import GAUSSIAN_UNIFORM, DirectionSet, sample_uniform
-from .geometry import PointCloud, UnitFrame, unit_frame
+from .geometry import PointCloud, UnitFrame, frozen, unit_frame
 
 __all__ = [
     "CurvatureSketch",
@@ -53,17 +53,14 @@ class CurvatureSketch:
     scores_formed: int | None = field(default=None, kw_only=True)  # set by build_sketch
 
     def __post_init__(self):
-        assignment = np.asarray(self.assignment, dtype=np.int64).copy()
+        assignment = frozen(self.assignment, np.int64)
         n = len(self.cloud)
         if assignment.shape != (len(self.dirs),):
             raise ValueError("assignment length must match the direction count")
         if assignment.size and not 0 <= assignment.min() <= assignment.max() < n:
             raise ValueError(f"assignment indexes outside [0, {n})")
-        counts = np.bincount(assignment, minlength=n)
-        assignment.setflags(write=False)
-        counts.setflags(write=False)
         object.__setattr__(self, "assignment", assignment)
-        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "counts", frozen(np.bincount(assignment, minlength=n), np.int64))
 
     def curvatures(self) -> np.ndarray:
         """Relative curvature estimate for every point: counts / |D|."""
@@ -130,14 +127,10 @@ class InnerHull:
     curvatures: np.ndarray
 
     def __post_init__(self):
-        kept = np.asarray(self.kept_indices, dtype=np.int64).copy()
-        curv = np.asarray(self.curvatures, dtype=np.float64).copy()
-        if kept.ndim != 1 or curv.shape != kept.shape:
+        object.__setattr__(self, "kept_indices", frozen(self.kept_indices, np.int64))
+        object.__setattr__(self, "curvatures", frozen(self.curvatures, np.float64))
+        if self.kept_indices.ndim != 1 or self.curvatures.shape != self.kept_indices.shape:
             raise ValueError("kept_indices and curvatures must be aligned 1-d arrays")
-        kept.setflags(write=False)
-        curv.setflags(write=False)
-        object.__setattr__(self, "kept_indices", kept)
-        object.__setattr__(self, "curvatures", curv)
 
     def __len__(self) -> int:
         return self.kept_indices.shape[0]
@@ -155,20 +148,16 @@ class OuterHull:
     offsets: np.ndarray
 
     def __post_init__(self):
-        normals = np.asarray(self.normals, dtype=np.float64).copy()
-        offsets = np.asarray(self.offsets, dtype=np.float64).copy()
-        if normals.ndim != 2 or normals.shape[0] < 1:
+        object.__setattr__(self, "normals", frozen(self.normals, np.float64))
+        object.__setattr__(self, "offsets", frozen(self.offsets, np.float64))
+        if self.normals.ndim != 2 or self.normals.shape[0] < 1:
             raise ValueError("normals must be a nonempty (M, dim) array")
-        if offsets.shape != (normals.shape[0],):
+        if self.offsets.shape != (self.normals.shape[0],):
             raise ValueError("offsets must align with normals")
-        if not (np.all(np.isfinite(normals)) and np.all(np.isfinite(offsets))):
+        if not (np.all(np.isfinite(self.normals)) and np.all(np.isfinite(self.offsets))):
             raise ValueError("halfspace normals and offsets must be finite")
-        if np.any(np.abs(np.linalg.norm(normals, axis=1) - 1.0) > 1e-9):
+        if np.any(np.abs(np.linalg.norm(self.normals, axis=1) - 1.0) > 1e-9):
             raise ValueError("all normals must be unit length")
-        for a in (normals, offsets):
-            a.setflags(write=False)
-        object.__setattr__(self, "normals", normals)
-        object.__setattr__(self, "offsets", offsets)
 
     @property
     def dim(self) -> int:

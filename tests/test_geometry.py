@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,8 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hullsketch import (
+    ClusterMap,
     ConvergenceError,
+    CurvatureSketch,
     DirectionSet,
+    InnerHull,
+    OuterHull,
     PointCloud,
     ShapeSpec,
     build_sketch,
@@ -326,3 +331,52 @@ def test_pointcloud_validation():
     cloud = PointCloud([[0.0, 1.0]])
     with pytest.raises(ValueError):
         cloud.points[0, 0] = 5.0  # frozen storage
+
+
+def _inputs() -> dict:
+    """Fresh arrays for the value types below to copy."""
+    return {
+        "points": np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.25, 0.25]]),
+        "dirs": np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]),
+        "assignment": np.array([1, 2, 0, 0]),
+        "kept": np.array([0, 1, 2]),
+        "curvatures": np.array([0.5, 0.25, 0.25]),
+        "offsets": np.array([1.0, 1.0, 0.0, 0.0]),
+        "members": np.array([0, 3]),
+        "transform": np.array([[2.0, 0.0], [0.5, 1.0]]),
+        "shift": np.array([1.0, -1.0]),
+        "x": np.array([2.0, 2.0]),
+    }
+
+
+VALUE_TYPES = {
+    "PointCloud": lambda a: PointCloud(a["points"]),
+    "DirectionSet": lambda a: DirectionSet(a["dirs"], seed=0),
+    "build_sketch": lambda a: build_sketch(PointCloud(a["points"]), DirectionSet(a["dirs"], 0)),
+    "CurvatureSketch": lambda a: CurvatureSketch(
+        PointCloud(a["points"]), DirectionSet(a["dirs"], 0), a["assignment"]
+    ),
+    "InnerHull": lambda a: InnerHull(a["kept"], a["curvatures"]),
+    "OuterHull": lambda a: OuterHull(a["dirs"], a["offsets"]),
+    "ClusterMap": lambda a: ClusterMap(a["kept"], {0: a["members"]}),
+    "ShapeSpec": lambda a: ShapeSpec("cube", 2, 10, 0, transform=a["transform"], shift=a["shift"]),
+    "project_onto_hull": lambda a: project_onto_hull(a["x"], PointCloud(a["points"])),
+}
+
+
+@pytest.mark.parametrize("build", VALUE_TYPES.values(), ids=list(VALUE_TYPES))
+def test_value_types_hold_read_only_copies(build):
+    inputs = _inputs()
+    value = build(inputs)
+    held = {}
+    for f in dataclasses.fields(value):
+        field_value = getattr(value, f.name)
+        if isinstance(field_value, dict):  # ClusterMap.members: a plain dict of arrays
+            held.update({f"{f.name}[{k}]": v for k, v in field_value.items()})
+        elif isinstance(field_value, np.ndarray):
+            held[f.name] = field_value
+    assert held
+    for name, arr in held.items():
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0
+        assert not any(np.shares_memory(arr, given) for given in inputs.values()), name
