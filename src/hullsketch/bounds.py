@@ -42,12 +42,12 @@ class BoundQuery:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("dimension n must be >= 2")
-        if self.r <= 0:
-            raise ValueError("radius r must be positive")
+        if not 0 < self.r < math.inf:
+            raise ValueError("radius r must be " + ("positive" if self.r <= 0 else "finite"))
         if not 0.0 < self.p < 1.0:
             raise ValueError("failure probability p must lie in (0, 1)")
-        if self.eps <= 0:
-            raise ValueError("error target eps must be positive")
+        if not 0 < self.eps < math.inf:
+            raise ValueError("error target eps must be " + ("positive" if self.eps <= 0 else "finite"))
         if self.x_count < 1:
             raise ValueError("extreme point count must be >= 1")
 
@@ -71,8 +71,8 @@ def chebyshev_bound(k: float, m: int, eps: float) -> float:
         raise ValueError("k must lie in (0, 1)")
     if m < 1:
         raise ValueError("m must be >= 1")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise ValueError("eps must be " + ("positive" if eps <= 0 else "finite"))
     return min(1.0, k * (1.0 - k) / (m * eps * eps))
 
 
@@ -110,8 +110,8 @@ def aleksandrov_bound(r: float, n: int, omega: float) -> float:
     For point sets inside a ball of radius ``r``:
     ``sqrt(2) pi r (2 omega)^(1/(n-1))``.
     """
-    if r <= 0:
-        raise ValueError("r must be positive")
+    if not 0 < r < math.inf:
+        raise ValueError("r must be " + ("positive" if r <= 0 else "finite"))
     if n < 2:
         raise ValueError("n must be >= 2")
     if not 0.0 <= omega <= 1.0:
@@ -150,5 +150,8 @@ def directions_for_inner_error(q: BoundQuery, variant: str = "worst-case") -> in
     if log_c >= 0.0:
         return 1
     c = math.exp(log_c)
-    raw = (log_c + math.log(p)) / math.log1p(-c)
+    # a C that underflows to 0 or to a subnormal needs more than 1e308 directions
+    raw = (log_c + math.log(p)) / math.log1p(-c) if c else math.inf
+    if raw == math.inf:
+        raise OverflowError("the direction count exceeds the largest double")
     return max(1, math.ceil(raw))

@@ -27,7 +27,7 @@ from .datagen import SHAPE_KINDS, ShapeSpec, generate
 from .directions import sample_uniform
 from .geometry import NumericalError, PointCloud, exact_extreme_points
 from .metrics import accuracy_curve, inner_error, outer_error, reference_hull
-from .sketch import THRESHOLD_MODES, CurvatureSketch, OuterHull, build_sketch, outer_hull, threshold_filter
+from .sketch import THRESHOLD_MODES, build_sketch, outer_hull, threshold_filter
 
 __all__ = ["build_parser", "main", "entrypoint"]
 
@@ -91,7 +91,7 @@ def cmd_sketch(args) -> None:
 
     n_found = int(np.count_nonzero(sketch.counts))
     io.write_inner(f"{args.out_prefix}_inner.csv", inner.select(cloud), inner.curvatures)
-    io.write_halfspaces(f"{args.out_prefix}_halfspaces.csv", outer.normals, outer.offsets)
+    io.write_halfspaces(f"{args.out_prefix}_halfspaces.csv", outer)
     summary = _summary_base(
         args.seed,
         {"dirs": args.dirs, "alpha": args.alpha, "mode": args.mode, "in": args.points_path},
@@ -111,15 +111,8 @@ def cmd_sketch(args) -> None:
         summary["warning"] = "threshold kept no points (every curvature <= alpha)"
         print(summary["warning"], file=sys.stderr)
     if args.save_sketch:
-        io.write_json(f"{args.out_prefix}_sketch.json", sketch.to_dict())
+        io.write_sketch(f"{args.out_prefix}_sketch.json", sketch)
     io.write_json(f"{args.out_prefix}_summary.json", summary)
-
-
-def _sketch_from_json(path: str, cloud: PointCloud) -> CurvatureSketch:
-    try:
-        return CurvatureSketch.from_dict(io.read_json(path), cloud)
-    except ValueError as exc:
-        raise CliValidationError(f"{path}: {exc}") from None
 
 
 # The hyperplane flags each variant reads.  They parse to None, so that a
@@ -143,7 +136,7 @@ def cmd_compress(args) -> None:
         raise CliValidationError(f"compress {where} does not read {flags}")
     cloud = PointCloud(io.read_matrix(args.points_path))
     if args.sketch_json is not None:
-        sketch = _sketch_from_json(args.sketch_json, cloud)
+        sketch = io.read_sketch(args.sketch_json, cloud)
     else:
         dirs = sample_uniform(args.dirs, cloud.dim, args.seed)
         sketch = build_sketch(cloud, dirs)
@@ -179,7 +172,7 @@ def cmd_compress(args) -> None:
         "order": args.order,
     }
     if hull is not None:
-        io.write_halfspaces(f"{args.out_prefix}_halfspaces.csv", hull.normals, hull.offsets)
+        io.write_halfspaces(f"{args.out_prefix}_halfspaces.csv", hull)
         cluster_payload["n_halfspaces"] = n_planes_out
     io.write_json(f"{args.out_prefix}_clusters.json", cluster_payload)
     io.write_json(f"{args.out_prefix}_ratios.json", ratios_payload)
@@ -208,13 +201,10 @@ def cmd_compress(args) -> None:
 def cmd_error(args) -> None:
     cloud = PointCloud(io.read_matrix(args.points_path))
     kept = io.read_inner(args.inner, cloud.dim)
-    normals, offsets = io.read_halfspaces(args.halfspaces)
-    if normals.shape[1] != cloud.dim:
-        raise CliValidationError("halfspace dimension does not match the points")
-    outer = OuterHull(normals=normals, offsets=offsets)
+    outer = io.read_halfspaces(args.halfspaces, cloud.dim)
     n_found = -1
     if args.sketch_json is not None:
-        n_found = int(np.count_nonzero(_sketch_from_json(args.sketch_json, cloud).counts))
+        n_found = int(np.count_nonzero(io.read_sketch(args.sketch_json, cloud).counts))
 
     reference, reference_tag = reference_hull(cloud, args.oracle_cap, args.seed + SUBSAMPLE_SEED_OFFSET)
     inner_val = inner_error(reference, PointCloud(kept))
@@ -229,7 +219,7 @@ def cmd_error(args) -> None:
         "outer_error": outer_val,
         "outer_method": outer_method,
         "n_probes": 0 if cloud.dim == 2 else args.probes,
-        "n_dirs_used": len(offsets),
+        "n_dirs_used": len(outer),
         "n_found": n_found,
         "n_kept": kept.shape[0],
         "reference": reference_tag,

@@ -19,8 +19,6 @@ from .geometry import frozen
 
 __all__ = ["DirectionSet", "sample_uniform"]
 
-GAUSSIAN_UNIFORM = "gaussian-uniform"
-
 
 @dataclass(frozen=True)
 class DirectionSet:

@@ -1,10 +1,12 @@
 """Every file the CLI reads or writes.
 
-CSV: point matrices; halfspaces (normal columns, then the offset); kept
-points (point columns, then the curvature, which ``read_inner`` also takes
-absent); affine maps (dim rows of dim columns, or dim + 1 with the shift);
-and labelled tables (``write_rows``: a ``# header`` line, then mixed fields).
-JSON: summaries, the sketch, clusters, ratios, error and bound reports.
+CSV: point matrices; halfspaces (normal columns, then the offset), read as
+an ``OuterHull``; kept points (point columns, then the curvature, which
+``read_inner`` also takes absent); affine maps (dim rows of dim columns, or
+dim + 1 with the shift); and labelled tables (``write_rows``: a ``# header``
+line, then mixed fields).  JSON: summaries, clusters, ratios, error and
+bound reports, and the sketch: its winners and the seed its directions are
+sampled again from, which ``read_sketch`` reads as a ``CurvatureSketch``.
 
 Grammar: comma-separated decimal floats, optional comment/header lines
 starting with ``#``, LF or CRLF endings.  Floats are written at
@@ -25,6 +27,10 @@ from pathlib import Path
 
 import numpy as np
 
+from .directions import sample_uniform
+from .geometry import PointCloud
+from .sketch import CurvatureSketch, OuterHull
+
 __all__ = [
     "CsvFormatError",
     "read_matrix",
@@ -34,6 +40,8 @@ __all__ = [
 ]
 
 FLOAT_FORMAT = "%.17g"
+
+GAUSSIAN_UNIFORM = "gaussian-uniform"
 
 # Rows formatted per write: the text of one block is the only buffer.
 WRITE_BLOCK_ROWS = 8192
@@ -104,20 +112,19 @@ def write_matrix(path, data) -> None:
             fh.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
 
 
-def write_halfspaces(path, normals, offsets) -> None:
+def write_halfspaces(path, hull: OuterHull) -> None:
     """Halfspace CSV: dim normal columns followed by one offset column."""
-    normals = np.atleast_2d(np.asarray(normals, dtype=np.float64))
-    offsets = np.asarray(offsets, dtype=np.float64).reshape(-1, 1)
-    if normals.shape[0] != offsets.shape[0]:
-        raise ValueError("normals and offsets must have matching row counts")
-    write_matrix(path, np.hstack([normals, offsets]))
+    write_matrix(path, np.column_stack([hull.normals, hull.offsets]))
 
 
-def read_halfspaces(path) -> tuple[np.ndarray, np.ndarray]:
+def read_halfspaces(path, dim: int) -> OuterHull:
+    """The halfspaces of a ``dim``-d cloud, checked by :class:`OuterHull`."""
     data = read_matrix(path)
     if data.shape[1] < 2:
         raise CsvFormatError(f"{path}: halfspace rows need at least 2 columns")
-    return data[:, :-1], data[:, -1]
+    if data.shape[1] != dim + 1:
+        raise ValueError("halfspace dimension does not match the points")
+    return OuterHull(normals=data[:, :-1], offsets=data[:, -1])
 
 
 def write_inner(path, points, curvatures) -> None:
@@ -152,9 +159,59 @@ def write_json(path, payload) -> None:
         fh.write("\n")
 
 
-def read_json(path):
-    with open(path) as fh:
-        return json.load(fh)
+def write_sketch(path, sketch: CurvatureSketch) -> None:
+    """The sketch's winners and its directions' seed; :func:`read_sketch` reads it back."""
+    dirs = sketch.dirs
+    if not np.array_equal(sample_uniform(len(dirs), dirs.dim, dirs.seed).directions, dirs.directions):
+        raise ValueError("the sketch's directions are not sample_uniform's for their seed")
+    write_json(path, {
+        "dim": sketch.cloud.dim,
+        "n_points": len(sketch.cloud),
+        "n_dirs": len(dirs),
+        "counts": sketch.counts.tolist(),
+        "assignment": sketch.assignment.tolist(),
+        "dirs_seed": dirs.seed,
+        "dirs_method": GAUSSIAN_UNIFORM,
+    })
+
+
+def read_sketch(path, cloud: PointCloud) -> CurvatureSketch:
+    """The sketch of ``cloud`` that :func:`write_sketch` saved, directions
+    sampled again from ``dirs_seed``.  Raises ``ValueError``, prefixed with
+    the path, on a file that is not JSON, missing or non-integer fields,
+    another cloud or method, or counts that do not tally."""
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+        keys = ("dim", "n_points", "n_dirs", "counts", "assignment", "dirs_seed", "dirs_method")
+        missing = [k for k in keys if not isinstance(payload, dict) or k not in payload]
+        if missing:
+            raise ValueError(f"sketch lacks {', '.join(missing)}")
+        # JSON integers only: `type(v) is int` refuses bools and floats such as 50.0
+        bad = [k for k in ("dim", "n_points", "n_dirs", "dirs_seed") if type(payload[k]) is not int]
+        bad += [
+            k for k in ("assignment", "counts")
+            if type(payload[k]) is not list or not set(map(type, payload[k])) <= {int}
+        ]
+        if bad:
+            raise ValueError(f"{', '.join(bad)} must be JSON integers")
+        if payload["n_points"] != len(cloud) or payload["dim"] != cloud.dim:
+            raise ValueError("sketch does not match the point file")
+        # checked before sampling, so a corrupt n_dirs cannot allocate n_dirs x dim
+        if payload["n_dirs"] < 1 or len(payload["assignment"]) != payload["n_dirs"]:
+            raise ValueError("n_dirs must be >= 1 and equal len(assignment)")
+        if payload["dirs_method"] != GAUSSIAN_UNIFORM:
+            raise ValueError(f"dirs_method is not {GAUSSIAN_UNIFORM!r}")
+        dirs = sample_uniform(payload["n_dirs"], payload["dim"], payload["dirs_seed"])
+        assignment = payload["assignment"]
+        if assignment and not 0 <= min(assignment) <= max(assignment) < len(cloud):
+            raise ValueError(f"assignment indexes outside [0, {len(cloud)})")
+        sketch = CurvatureSketch(cloud, dirs, np.asarray(assignment, dtype=np.int64))
+        if not np.array_equal(sketch.counts, payload["counts"]):
+            raise ValueError("counts do not tally the assignment")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return sketch
 
 
 def write_rows(path, header, rows) -> None:

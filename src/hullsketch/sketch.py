@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .directions import GAUSSIAN_UNIFORM, DirectionSet, sample_uniform
+from .directions import DirectionSet
 from .geometry import PointCloud, UnitFrame, frozen, unit_frame
 
 __all__ = [
@@ -65,58 +65,6 @@ class CurvatureSketch:
     def curvatures(self) -> np.ndarray:
         """Relative curvature estimate for every point: counts / |D|."""
         return self.counts / float(len(self.dirs))
-
-    def to_dict(self) -> dict:
-        """JSON-ready export of the sketch; :meth:`from_dict` reads it back.
-
-        The directions are stored as their seed only, so a set that
-        ``sample_uniform`` does not reproduce from it raises ``ValueError``.
-        """
-        again = sample_uniform(len(self.dirs), self.dirs.dim, self.dirs.seed)
-        if not np.array_equal(again.directions, self.dirs.directions):
-            raise ValueError("the sketch's directions are not sample_uniform's for their seed")
-        return {
-            "dim": self.cloud.dim,
-            "n_points": len(self.cloud),
-            "n_dirs": len(self.dirs),
-            "counts": self.counts.tolist(),
-            "assignment": self.assignment.tolist(),
-            "dirs_seed": self.dirs.seed,
-            "dirs_method": GAUSSIAN_UNIFORM,
-        }
-
-    @classmethod
-    def from_dict(cls, payload, cloud: PointCloud) -> "CurvatureSketch":
-        """The sketch of ``cloud`` that :meth:`to_dict` exported, directions
-        sampled again from ``dirs_seed``.  Raises ``ValueError`` on missing or
-        non-integer fields, another cloud or method, or counts that do not tally."""
-        keys = ("dim", "n_points", "n_dirs", "counts", "assignment", "dirs_seed", "dirs_method")
-        missing = [k for k in keys if not isinstance(payload, dict) or k not in payload]
-        if missing:
-            raise ValueError(f"sketch lacks {', '.join(missing)}")
-        # JSON integers only: `type(v) is int` refuses bools and floats such as 50.0
-        bad = [k for k in ("dim", "n_points", "n_dirs", "dirs_seed") if type(payload[k]) is not int]
-        bad += [
-            k for k in ("assignment", "counts")
-            if type(payload[k]) is not list or not set(map(type, payload[k])) <= {int}
-        ]
-        if bad:
-            raise ValueError(f"{', '.join(bad)} must be JSON integers")
-        if payload["n_points"] != len(cloud) or payload["dim"] != cloud.dim:
-            raise ValueError("sketch does not match the point file")
-        # checked before sampling, so a corrupt n_dirs cannot allocate n_dirs x dim
-        if payload["n_dirs"] < 1 or len(payload["assignment"]) != payload["n_dirs"]:
-            raise ValueError("n_dirs must be >= 1 and equal len(assignment)")
-        if payload["dirs_method"] != GAUSSIAN_UNIFORM:
-            raise ValueError(f"dirs_method is not {GAUSSIAN_UNIFORM!r}")
-        dirs = sample_uniform(payload["n_dirs"], payload["dim"], payload["dirs_seed"])
-        assignment = payload["assignment"]
-        if assignment and not 0 <= min(assignment) <= max(assignment) < len(cloud):
-            raise ValueError(f"assignment indexes outside [0, {len(cloud)})")
-        sketch = cls(cloud, dirs, np.asarray(assignment, dtype=np.int64))
-        if not np.array_equal(sketch.counts, payload["counts"]):
-            raise ValueError("counts do not tally the assignment")
-        return sketch
 
 
 @dataclass(frozen=True)

@@ -147,6 +147,16 @@ def test_large_error_target_needs_one_direction():
     assert directions_for_inner_error(q, "worst-case") == 1
 
 
+def test_resolution_above_one_needs_one_direction():
+    # eps lies below the Aleksandrov cap of 4.5504, so the first early return
+    # is not taken; the measure of S^29, 6.6e-4, makes log C = 7.0 >= 0
+    q = BoundQuery(n=30, r=1.0, p=0.05, eps=4.5)
+    assert q.eps < aleksandrov_bound(q.r, q.n, 1.0)
+    assert sphere_surface_measure(q.n) < 1e-3
+    assert directions_for_inner_error(q, "worst-case") == 1
+    assert directions_for_inner_error(q, "single-point") == 1
+
+
 def test_directions_monotone_in_eps():
     counts = [
         directions_for_inner_error(BoundQuery(n=4, r=1.0, p=0.05, eps=e, x_count=10))
@@ -185,3 +195,13 @@ def test_bound_query_validation():
         BoundQuery(n=3, r=1.0, p=0.05, eps=0.1, x_count=0)
     with pytest.raises(ValueError):
         directions_for_inner_error(BoundQuery(n=3, r=1.0, p=0.05, eps=0.1), "typical")
+
+
+def test_direction_count_is_a_finite_double_or_overflows():
+    # C = 2e-304 still gives a finite count, kept in full; a subnormal C
+    # gives one beyond the largest double
+    near = BoundQuery(n=3, r=1.0, p=0.05, eps=1e-150, x_count=10)
+    assert 1e305 < directions_for_inner_error(near) < 1e308
+    past = BoundQuery(n=3, r=1.0, p=0.05, eps=1e-154, x_count=10)
+    with pytest.raises(OverflowError, match="^the direction count exceeds the largest double$"):
+        directions_for_inner_error(past)

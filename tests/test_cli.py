@@ -284,6 +284,31 @@ def test_bounds_rejects_flags_it_would_ignore(tmp_path, capsys, flags, named):
     assert not out.exists()
 
 
+OVERFLOW = "numerical failure: the direction count exceeds the largest double"
+
+
+@pytest.mark.parametrize("flags, code, line", [
+    # C underflows to 0, or to a subnormal: the count exceeds the largest double
+    (["--n", "200", "--eps", "0.001", "--x-count", "10"], 2, OVERFLOW),
+    (["--n", "3", "--eps", "1e-160", "--x-count", "10"], 2, OVERFLOW),
+    (["--n", "3", "--eps", "1e-154", "--x-count", "10"], 2, OVERFLOW),
+    (["--r", "inf", "--omega", "0.25"], 1, "error: r must be finite"),
+    (["--eps", "inf"], 1, "error: error target eps must be finite"),
+    (["--r", "nan"], 1, "error: radius r must be finite"),
+    (["--eps", "nan"], 1, "error: error target eps must be finite"),
+    (["--k", "0.25", "--m", "10", "--eps", "nan"], 1, "error: eps must be finite"),
+    (["--sweep", "--r", "inf"], 1, "error: r must be finite"),
+], ids=["n200-zero-c", "eps1e-160-zero-c", "eps1e-154-subnormal-c", "r-inf-omega", "eps-inf",
+        "r-nan", "eps-nan", "chebyshev-eps-nan", "sweep-r-inf"])
+def test_bounds_out_of_range_exits_with_one_line_and_no_file(tmp_path, capsys, flags, code, line):
+    out = tmp_path / "bounds.out"
+    assert run(["bounds", *flags, "--out", str(out)]) == code
+    captured = capsys.readouterr()
+    assert captured.err == line + "\n" and "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_bench_schedule_must_increase(tmp_path):
     pts_path = gen_simplex(tmp_path, n=100)
     code = run([

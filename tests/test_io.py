@@ -1,23 +1,30 @@
 import bz2
 import gzip
+import json
 import lzma
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from hullsketch import DirectionSet, OuterHull, PointCloud, build_sketch, sample_uniform
 from hullsketch.io import (
     WRITE_BLOCK_ROWS,
     CsvFormatError,
     read_halfspaces,
     read_matrix,
+    read_sketch,
     write_halfspaces,
     write_json,
     write_matrix,
     write_rows,
+    write_sketch,
 )
+
+SQUARE = PointCloud([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
 
 
 def test_round_trip_bitwise(tmp_path):
@@ -130,17 +137,26 @@ def test_halfspace_column_layout(tmp_path):
     normals = np.array([[1.0, 0.0], [0.0, 1.0]])
     offsets = np.array([2.0, 3.0])
     path = tmp_path / "hs.csv"
-    write_halfspaces(path, normals, offsets)
+    write_halfspaces(path, OuterHull(normals=normals, offsets=offsets))
     raw = read_matrix(path)
     assert raw.shape == (2, 3)  # dim normal columns + offset column
-    back_n, back_b = read_halfspaces(path)
-    assert np.array_equal(back_n, normals)
-    assert np.array_equal(back_b, offsets)
+    back = read_halfspaces(path, 2)
+    assert isinstance(back, OuterHull)
+    assert np.array_equal(back.normals, normals)
+    assert np.array_equal(back.offsets, offsets)
+    # the column check comes first, then the dimension check, which names no path
+    with pytest.raises(ValueError, match=r"^halfspace dimension does not match the points$"):
+        read_halfspaces(path, 3)
+    write_matrix(path, np.ones((3, 1)))
+    with pytest.raises(CsvFormatError, match="halfspace rows need at least 2 columns"):
+        read_halfspaces(path, 1)
 
 
 def test_halfspace_row_mismatch(tmp_path):
-    with pytest.raises(ValueError):
-        write_halfspaces(tmp_path / "x.csv", np.eye(2), np.ones(3))
+    # the rows a halfspace file can hold are aligned by the hull it is written from
+    with pytest.raises(ValueError, match="offsets must align with normals"):
+        write_halfspaces(tmp_path / "x.csv", OuterHull(np.eye(2), np.ones(3)))
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_write_rows_formats_as_the_17g_f_strings(tmp_path):
@@ -179,3 +195,45 @@ def test_write_json_to_a_path(tmp_path):
 def test_write_json_to_stdout(capsys):
     write_json(None, PAYLOAD)
     assert capsys.readouterr().out == PAYLOAD_TEXT
+
+
+def test_sketch_file_schema(tmp_path):
+    sk = build_sketch(SQUARE, sample_uniform(40, 2, seed=3))
+    path = tmp_path / "s.json"
+    write_sketch(path, sk)
+    payload = json.loads(path.read_text())
+    assert payload["dim"] == 2
+    assert payload["n_points"] == 4
+    assert payload["n_dirs"] == 40
+    assert payload["dirs_seed"] == 3
+    assert payload["counts"] == sk.counts.tolist()
+    assert len(payload["assignment"]) == 40
+
+
+def test_write_sketch_refuses_directions_it_cannot_record(tmp_path):
+    # read_sketch samples the directions again from dirs_seed, so hand-built
+    # ones, such as the four axis directions, would read back as others
+    cloud = PointCloud(np.random.default_rng(43).standard_normal((50, 2)))
+    axes = DirectionSet(np.vstack([np.eye(2), -np.eye(2)]), seed=0)
+    path = tmp_path / "s.json"
+    with pytest.raises(ValueError, match="not sample_uniform's"):
+        write_sketch(path, build_sketch(cloud, axes))
+    assert not path.exists()
+    # a prefix of a sampled set is what sample_uniform gives for its length
+    prefix = sample_uniform(80, 2, seed=44).prefix(30)
+    write_sketch(path, build_sketch(cloud, prefix))
+    back = read_sketch(path, cloud)
+    assert np.array_equal(back.dirs.directions, prefix.directions)
+
+
+def test_read_sketch_reads_back_what_write_sketch_wrote(tmp_path):
+    rng = np.random.default_rng(41)
+    cloud = PointCloud(rng.standard_normal((50, 3)))
+    sk = build_sketch(cloud, sample_uniform(80, 3, seed=42))
+    path = tmp_path / "s.json"
+    write_sketch(path, sk)
+    back = read_sketch(path, cloud)
+    assert np.array_equal(back.assignment, sk.assignment)
+    assert np.array_equal(back.dirs.directions, sk.dirs.directions)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: sketch does not match the point file$"):
+        read_sketch(path, PointCloud(cloud.points[:-1]))

@@ -369,6 +369,23 @@ def test_centroid_on_a_boundary_retries_at_the_chebyshev_centre(monkeypatch):
         outer_error(flat, PointCloud(CUBE), probes)
 
 
+def test_qhull_refusing_both_attempts_leaves_no_interior(monkeypatch):
+    # Qhull rejects the halfspaces around the centroid, and once more around
+    # the Chebyshev centre: the last resort of _outer_vertices
+    import scipy.spatial
+    from scipy.spatial import QhullError
+
+    def refuse(*args, **kwargs):
+        raise QhullError("refused")
+
+    monkeypatch.setattr(scipy.spatial, "HalfspaceIntersection", refuse)
+    calls, retries = count_lp_calls(monkeypatch), count_chebyshev_retries(monkeypatch)
+    cube = make_outer(np.vstack([np.eye(3), -np.eye(3)]), np.ones(6))
+    with pytest.raises(EmptyOuterHullError, match="^outer hull has no interior$"):
+        outer_error(cube, PointCloud(CUBE), sample_uniform(20, 3, seed=36))
+    assert (len(retries), len(calls)) == (1, 0)
+
+
 def with_axes(dirs):
     return DirectionSet(np.vstack([np.eye(3), -np.eye(3), dirs.directions]), seed=dirs.seed)
 

@@ -1,5 +1,5 @@
-import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -9,6 +9,7 @@ from hullsketch import sketch as sketch_module
 from hullsketch import (
     CurvatureSketch,
     DirectionSet,
+    InnerHull,
     OuterHull,
     PointCloud,
     build_sketch,
@@ -362,41 +363,6 @@ def test_chebyshev_consistency_on_right_triangle():
         assert violations[v] / trials <= bound + 0.01
 
 
-def test_export_schema():
-    sk = build_sketch(SQUARE, sample_uniform(40, 2, seed=3))
-    payload = sk.to_dict()
-    assert payload["dim"] == 2
-    assert payload["n_points"] == 4
-    assert payload["n_dirs"] == 40
-    assert payload["dirs_seed"] == 3
-    assert payload["counts"] == sk.counts.tolist()
-    assert len(payload["assignment"]) == 40
-
-
-def test_to_dict_refuses_directions_it_cannot_record():
-    # from_dict samples the directions again from dirs_seed, so hand-built
-    # ones, such as the four axis directions, would read back as others
-    cloud = PointCloud(np.random.default_rng(43).standard_normal((50, 2)))
-    axes = DirectionSet(np.vstack([np.eye(2), -np.eye(2)]), seed=0)
-    with pytest.raises(ValueError, match="not sample_uniform's"):
-        build_sketch(cloud, axes).to_dict()
-    # a prefix of a sampled set is what sample_uniform gives for its length
-    prefix = sample_uniform(80, 2, seed=44).prefix(30)
-    back = CurvatureSketch.from_dict(build_sketch(cloud, prefix).to_dict(), cloud)
-    assert np.array_equal(back.dirs.directions, prefix.directions)
-
-
-def test_from_dict_reads_back_what_to_dict_wrote():
-    rng = np.random.default_rng(41)
-    cloud = PointCloud(rng.standard_normal((50, 3)))
-    sk = build_sketch(cloud, sample_uniform(80, 3, seed=42))
-    back = CurvatureSketch.from_dict(json.loads(json.dumps(sk.to_dict())), cloud)
-    assert np.array_equal(back.assignment, sk.assignment)
-    assert np.array_equal(back.dirs.directions, sk.dirs.directions)
-    with pytest.raises(ValueError, match="does not match"):
-        CurvatureSketch.from_dict(sk.to_dict(), PointCloud(cloud.points[:-1]))
-
-
 def test_sketch_validation():
     dirs = sample_uniform(4, 2, seed=0)
     for assignment in ([0, 1, 2], [0, 1, 2, 4], [0, 1, 2, -1]):  # wrong length, out of range
@@ -408,6 +374,21 @@ def test_sketch_validation():
     sk = CurvatureSketch(SQUARE, dirs, [3, 3, 0, 2])
     assert sk.counts.tolist() == [1, 0, 1, 2]
     assert sk.scores_formed is None
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: OuterHull(np.ones(2), np.ones(2)), "nonempty (M, dim)"),
+    (lambda: OuterHull(np.empty((0, 2)), np.empty(0)), "nonempty (M, dim)"),
+    (lambda: OuterHull(np.eye(2), np.ones(3)), "offsets must align with normals"),
+    (lambda: OuterHull(np.eye(2), np.ones((2, 1))), "offsets must align with normals"),
+    (lambda: OuterHull(2 * np.eye(2), np.ones(2)), "unit length"),
+    (lambda: InnerHull(np.arange(3), np.ones(2)), "aligned 1-d arrays"),
+    (lambda: InnerHull(np.zeros((2, 2), dtype=int), np.ones((2, 2))), "aligned 1-d arrays"),
+], ids=["outer-1d", "outer-empty", "outer-short-offsets", "outer-2d-offsets", "outer-not-unit",
+        "inner-short-curvatures", "inner-2d"])
+def test_value_types_refuse_misshapen_arrays(build, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()
 
 
 @pytest.mark.parametrize(
